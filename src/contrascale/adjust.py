@@ -13,9 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .context import FormalContext, is_clarified
+from .context import FormalContext, _reducible, is_clarified
 from .scales import ScaleFamily, iter_scale_families
 
 __all__ = [
@@ -87,48 +87,45 @@ def require_clarified_reduced(ctx: FormalContext) -> None:
         raise NotPreprocessedError(
             "context has duplicate rows or columns; apply clarify() first"
         )
-    for masks, full in ((ctx.cols(), ctx.all_objects_mask), (ctx.rows(), ctx.all_attributes_mask)):
-        for x in range(len(masks)):
-            inter = full
-            for y in range(len(masks)):
-                if y != x and masks[y] & masks[x] == masks[x]:
-                    inter &= masks[y]
-            if inter == masks[x]:
-                raise NotPreprocessedError(
-                    "context has reducible rows or columns; apply reduce_context() first"
-                )
+    if _reducible(ctx.cols(), ctx.all_objects_mask) or _reducible(
+        ctx.rows(), ctx.all_attributes_mask
+    ):
+        raise NotPreprocessedError(
+            "context has reducible rows or columns; apply reduce_context() first"
+        )
 
 
-def _maximal_families(ctx: FormalContext, threads: int = 1) -> list[ScaleFamily]:
-    families = list(iter_scale_families(ctx, threads=threads))
-    generators = {frozenset(f.attributes) for f in families}
-    n = ctx.n_attributes
-    maximal = []
-    for family in families:
-        attrs = frozenset(family.attributes)
-        if any(
-            m not in attrs and attrs | {m} in generators for m in range(n)
-        ):
-            continue
-        maximal.append(family)
-    return maximal
+def _cubic_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
+    """The walked families whose attribute set has no scale-carrying superset.
+
+    Family A with extent E extends by attribute m exactly when some object of
+    E misses m and every witness class of A keeps an object in col(m); it
+    suffices to test one-attribute extensions because scale-carrying sets
+    are closed under subsets.  For m in A the first test fails, so no
+    membership test is needed, and the test holds on any context.
+    """
+    cols = ctx.cols()
+    full = ctx.all_objects_mask
+    for family in iter_scale_families(ctx):
+        extent = full
+        for m in family.attributes:
+            extent &= cols[m]
+        wits = family.witness_masks
+        if not any(extent & ~col and all(w & col for w in wits) for col in cols):
+            yield family
 
 
-def cubic_sets(
-    ctx: FormalContext, *, require_preprocessed: bool = True, threads: int = 1
-) -> list[CubicSet]:
+def cubic_sets(ctx: FormalContext, *, require_preprocessed: bool = True) -> list[CubicSet]:
     """All maximal scale-carrying attribute sets with their witness classes."""
     if require_preprocessed:
         require_clarified_reduced(ctx)
     return [
         CubicSet(f.attributes, f.dimension, f.witness_indices())
-        for f in _maximal_families(ctx, threads)
+        for f in _cubic_families(ctx)
     ]
 
 
-def influence(
-    ctx: FormalContext, *, require_preprocessed: bool = True, threads: int = 1
-) -> InfluenceReport:
+def influence(ctx: FormalContext, *, require_preprocessed: bool = True) -> InfluenceReport:
     """Per-attribute cubic-set counts and the influence score zeta.
 
     zeta(m) = sum over k of (number of k-sized cubic sets containing m) * 2**k / k,
@@ -137,7 +134,7 @@ def influence(
     if require_preprocessed:
         require_clarified_reduced(ctx)
     counts: list[dict[int, int]] = [{} for _ in range(ctx.n_attributes)]
-    for family in _maximal_families(ctx, threads):
+    for family in _cubic_families(ctx):
         k = family.dimension
         for m in family.attributes:
             counts[m][k] = counts[m].get(k, 0) + 1
@@ -190,11 +187,10 @@ def delta_adjust(
     delta: float | str | Fraction,
     *,
     require_preprocessed: bool = True,
-    threads: int = 1,
 ) -> AdjustedSelection:
     """Select the lowest-influence attribute subset of relative size >= delta."""
     value = _delta_fraction(delta)
-    report = influence(ctx, require_preprocessed=require_preprocessed, threads=threads)
+    report = influence(ctx, require_preprocessed=require_preprocessed)
     chosen = select_attributes(report, value)
     return AdjustedSelection(delta=float(value), attributes=chosen, report=report)
 

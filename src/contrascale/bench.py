@@ -14,7 +14,7 @@ from .adjust import delta_adjust, _delta_fraction
 from .context import FormalContext, SubcontextSelection, apply_selection
 from .lattice import canonical_base, enumerate_concepts
 from .rng import SplitMix64, derive_seed
-from .scales import ALGORITHMS, iter_scale_families
+from .scales import ALGORITHMS, enumerate_bronkerbosch, iter_scale_families
 from .tree import train_tree
 
 __all__ = [
@@ -165,9 +165,7 @@ def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> Exper
     mean = sum(accs) / len(accs)
     std = math.sqrt(sum((a - mean) ** 2 for a in accs) / len(accs))
     if cfg.method == "adjusted":
-        concept_count, base_size = _structure_metrics(
-            ctx, delta_adjust(ctx, delta).attributes
-        )
+        concept_count, base_size = _structure_metrics(ctx, selection)
     else:
         size = math.ceil(delta * ctx.n_attributes)
         cc = bb = 0.0
@@ -235,8 +233,6 @@ def benchmark_enumeration(
     A run that exceeds the timeout is reported as unfinished, not failed.
     Timing values are diagnostics and vary between runs; counts do not.
     """
-    from .scales import enumerate_bronkerbosch
-
     report: dict = {}
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -246,20 +242,15 @@ def benchmark_enumeration(
         max_dim = 0
         finished = True
         if algorithm == "backtracking":
-            stream = iter_scale_families(ctx)
-            for family in stream:
-                total += family.scale_count()
-                max_dim = max(max_dim, family.dimension)
-                if timeout is not None and time.perf_counter() - start > timeout:
-                    finished = False
-                    break
+            items = ((f.dimension, f.scale_count()) for f in iter_scale_families(ctx))
         else:
-            for scale in enumerate_bronkerbosch(ctx):
-                total += 1
-                max_dim = max(max_dim, scale.dimension)
-                if timeout is not None and time.perf_counter() - start > timeout:
-                    finished = False
-                    break
+            items = ((s.dimension, 1) for s in enumerate_bronkerbosch(ctx))
+        for dimension, scales in items:
+            total += scales
+            max_dim = max(max_dim, dimension)
+            if timeout is not None and time.perf_counter() - start > timeout:
+                finished = False
+                break
         report[algorithm] = {
             "seconds": time.perf_counter() - start,
             "finished": finished,

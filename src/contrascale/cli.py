@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -71,14 +70,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("CONTRASCALE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_context(args: argparse.Namespace) -> FormalContext:
@@ -160,7 +151,6 @@ def build_parser() -> _Parser:
         help="enumerate on the clarified+reduced context and reconstruct",
     )
     p.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_scales)
 
     p = sub.add_parser("influence", help="per-attribute influence report")
@@ -169,7 +159,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", help="mark the selection for this delta in the table")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("adjust", help="select the low-influence attribute subset")
@@ -177,7 +166,6 @@ def build_parser() -> _Parser:
     _add_output(p)
     p.add_argument("--delta", required=True)
     p.add_argument("--to", choices=("cxt", "csv"), help="emit the adjusted subcontext")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_adjust)
 
     p = sub.add_parser("concepts", help="enumerate formal concepts")
@@ -301,16 +289,12 @@ def cmd_scales(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     if args.count_only:
         if args.algorithm == "backtracking":
-            count = count_scales(ctx, min_dimension=args.min_dim, threads=args.threads)
+            count = count_scales(ctx, min_dimension=args.min_dim)
         else:
             histogram: dict[int, int] = {}
             for scale in enumerate_scales(ctx, algorithm=args.algorithm, min_dimension=args.min_dim):
                 histogram[scale.dimension] = histogram.get(scale.dimension, 0) + 1
-            count = ScaleCount(
-                sum(histogram.values()),
-                dict(sorted(histogram.items())),
-                max(histogram, default=0),
-            )
+            count = ScaleCount.from_histogram(histogram)
         _emit(args, count_report_json(count))
         return 0
     stream = enumerate_scales(
@@ -318,7 +302,6 @@ def cmd_scales(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         min_dimension=args.min_dim,
         preprocess=args.preprocess,
-        threads=args.threads,
     )
     if args.pretty:
         lines = [scale_to_line(s, ctx) for s in stream]
@@ -333,14 +316,14 @@ def cmd_influence(args: argparse.Namespace) -> int:
     if args.pretty:
         _emit(args, influence_table(ctx, args.delta))
         return 0
-    report = influence(ctx, threads=args.threads)
+    report = influence(ctx)
     _emit(args, influence_csv(report) if args.csv else influence_json(report))
     return 0
 
 
 def cmd_adjust(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    selection = delta_adjust(ctx, args.delta, threads=args.threads)
+    selection = delta_adjust(ctx, args.delta)
     if args.to:
         sub = apply_selection(
             SubcontextSelection(ctx, tuple(range(ctx.n_objects)), selection.attributes)

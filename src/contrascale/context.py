@@ -357,6 +357,20 @@ def is_clarified(ctx: FormalContext) -> bool:
     return len(set(ctx.rows())) == ctx.n_objects and len(set(ctx.cols())) == ctx.n_attributes
 
 
+def _reducible(masks: Sequence[int], full: int) -> list[int]:
+    """Indices whose mask equals the intersection of all strictly larger masks."""
+    n = len(masks)
+    reducible = []
+    for x in range(n):
+        inter = full
+        for y in range(n):
+            if y != x and masks[y] & masks[x] == masks[x]:
+                inter &= masks[y]
+        if inter == masks[x]:
+            reducible.append(x)
+    return reducible
+
+
 def _reducible_with_witness(
     masks: Sequence[int], full: int
 ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
@@ -367,14 +381,7 @@ def _reducible_with_witness(
     *irreducible* indices with a larger mask; maximality makes it unique.
     """
     n = len(masks)
-    reducible = []
-    for x in range(n):
-        inter = full
-        for y in range(n):
-            if y != x and masks[y] & masks[x] == masks[x]:
-                inter &= masks[y]
-        if inter == masks[x]:
-            reducible.append(x)
+    reducible = _reducible(masks, full)
     reducible_set = set(reducible)
     witnesses: dict[int, tuple[int, ...]] = {}
     for x in reducible:

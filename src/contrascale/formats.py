@@ -71,7 +71,7 @@ def save_context(ctx: FormalContext, target: IO[str] | str | os.PathLike, format
 
 
 def loads_cxt(text: str) -> FormalContext:
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
 
     def get(idx: int, what: str) -> str:
         if idx >= len(lines):

@@ -9,7 +9,6 @@ the conflict graph serves as an independent cross-check.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -129,6 +128,15 @@ class ScaleCount:
     histogram: dict[int, int]
     max_dimension: int
 
+    @classmethod
+    def from_histogram(cls, histogram: dict[int, int]) -> ScaleCount:
+        """Totals of a ``{dimension: count}`` histogram, stored sorted by dimension."""
+        return cls(
+            total=sum(histogram.values()),
+            histogram=dict(sorted(histogram.items())),
+            max_dimension=max(histogram, default=0),
+        )
+
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -188,23 +196,14 @@ def _branch_families(ctx: FormalContext, first: int) -> list[ScaleFamily]:
     return out
 
 
-def iter_scale_families(ctx: FormalContext, *, threads: int = 1) -> Iterator[ScaleFamily]:
+def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
     """Walk all attribute sets carrying scales, in canonical order.
 
     Canonical order is depth-first by ascending attribute index, which equals
-    sorting by the attribute tuple.  With ``threads > 1`` the top-level
-    branches run in a thread pool and are merged back in order, so output is
-    identical to the serial walk.
+    sorting by the attribute tuple.
     """
-    n = ctx.n_attributes
-    if threads <= 1 or n <= 1:
-        for first in range(n):
-            yield from _branch_families(ctx, first)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_branch_families, ctx, first) for first in range(n)]
-        for future in futures:
-            yield from future.result()
+    for first in range(ctx.n_attributes):
+        yield from _branch_families(ctx, first)
 
 
 def _reindex_scale(
@@ -223,7 +222,6 @@ def enumerate_scales(
     algorithm: str = "backtracking",
     min_dimension: int | None = None,
     preprocess: bool = False,
-    threads: int = 1,
 ) -> Iterator[ContranominalScale]:
     """Stream every contranominal scale of ``ctx`` exactly once.
 
@@ -238,9 +236,7 @@ def enumerate_scales(
     if preprocess:
         clarified, cmap = clarify(ctx)
         reduced, trace = reduce_context(clarified)
-        inner = enumerate_scales(
-            reduced, algorithm=algorithm, min_dimension=min_dimension, threads=threads
-        )
+        inner = enumerate_scales(reduced, algorithm=algorithm, min_dimension=min_dimension)
         restored = scales_from_reduced(inner, trace, clarified)
         originals = scales_from_clarified(restored, cmap)
         yield from sorted(originals, key=ContranominalScale.sort_key)
@@ -248,7 +244,7 @@ def enumerate_scales(
     if min_dimension is not None and min_dimension > 1:
         core_sel = pq_core(ctx, min_dimension - 1, min_dimension - 1)
         core_ctx = apply_selection(core_sel)
-        inner = enumerate_scales(core_ctx, algorithm=algorithm, threads=threads)
+        inner = enumerate_scales(core_ctx, algorithm=algorithm)
         for scale in inner:
             if scale.dimension >= min_dimension:
                 restored = _reindex_scale(
@@ -260,47 +256,30 @@ def enumerate_scales(
     if algorithm == "bronkerbosch":
         yield from enumerate_bronkerbosch(ctx)
         return
-    for family in iter_scale_families(ctx, threads=threads):
+    for family in iter_scale_families(ctx):
         for scale in family.iter_scales():
             assert scale.is_valid_in(ctx)
             yield scale
 
 
-def count_scales(
-    ctx: FormalContext,
-    *,
-    min_dimension: int | None = None,
-    threads: int = 1,
-) -> ScaleCount:
+def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> ScaleCount:
     """Scale totals per dimension without materializing the scales."""
     if min_dimension is not None and min_dimension > 1:
         core_ctx = apply_selection(pq_core(ctx, min_dimension - 1, min_dimension - 1))
-        inner = count_scales(core_ctx, threads=threads)
-        histogram = {k: v for k, v in inner.histogram.items() if k >= min_dimension}
-        return ScaleCount(
-            total=sum(histogram.values()),
-            histogram=histogram,
-            max_dimension=max(histogram, default=0),
+        inner = count_scales(core_ctx)
+        return ScaleCount.from_histogram(
+            {k: v for k, v in inner.histogram.items() if k >= min_dimension}
         )
     histogram: dict[int, int] = {}
-    for family in iter_scale_families(ctx, threads=threads):
+    for family in iter_scale_families(ctx):
         dim = family.dimension
         histogram[dim] = histogram.get(dim, 0) + family.scale_count()
-    histogram = dict(sorted(histogram.items()))
-    return ScaleCount(
-        total=sum(histogram.values()),
-        histogram=histogram,
-        max_dimension=max(histogram, default=0),
-    )
+    return ScaleCount.from_histogram(histogram)
 
 
-def max_dimension(ctx: FormalContext, *, threads: int = 1) -> int:
+def max_dimension(ctx: FormalContext) -> int:
     """Largest scale dimension; 0 when the incidence is full."""
-    best = 0
-    for family in iter_scale_families(ctx, threads=threads):
-        if family.dimension > best:
-            best = family.dimension
-    return best
+    return count_scales(ctx).max_dimension
 
 
 # -- conflict graph and Bron-Kerbosch cross-check ----------------------------

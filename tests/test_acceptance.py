@@ -336,7 +336,7 @@ def test_criterion_09_knowledge_experiment():
 
 
 def test_criterion_10_determinism(tmp_path, capsys):
-    """Byte-identical outputs across two serial runs and one parallel run.
+    """Byte-identical outputs across three runs of each command.
 
     The ``bench`` subcommand is excluded: its payload is wall-clock timing,
     which is diagnostic rather than data.
@@ -352,20 +352,11 @@ def test_criterion_10_determinism(tmp_path, capsys):
             (["stats", "--full", fixture], None),
             (["preprocess", str(dup)], None),
             (["core", "-p", "2", "-q", "2", fixture], None),
-            (
-                ["scales", fixture, "--threads", "1"],
-                ["scales", fixture, "--threads", "2"],
-            ),
+            (["scales", fixture], None),
             (["scales", "--count-only", fixture], None),
             (["scales", "--pretty", fixture], None),
-            (
-                ["influence", fixture, "--threads", "1"],
-                ["influence", fixture, "--threads", "2"],
-            ),
-            (
-                ["adjust", "--delta", "0.5", fixture, "--threads", "1"],
-                ["adjust", "--delta", "0.5", fixture, "--threads", "2"],
-            ),
+            (["influence", fixture], None),
+            (["adjust", "--delta", "0.5", fixture], None),
             (["concepts", fixture], None),
             (["base", fixture], None),
             (
@@ -397,4 +388,4 @@ def test_criterion_10_determinism(tmp_path, capsys):
             second = run_bytes(serial_argv)
             assert first == second, f"serial runs differ for {serial_argv}"
             third = run_bytes(parallel_argv or serial_argv)
-            assert first == third, f"parallel run differs for {serial_argv}"
+            assert first == third, f"third run differs for {serial_argv}"

@@ -4,6 +4,7 @@ import pytest
 
 from contrascale.adjust import (
     AttributeInfluence,
+    CubicSet,
     InfluenceReport,
     NotPreprocessedError,
     cubic_sets,
@@ -24,7 +25,7 @@ from contrascale.context import (
 )
 from contrascale.datasets import medical_diagnosis
 from contrascale.lattice import enumerate_concepts
-from contrascale.scales import enumerate_scales
+from contrascale.scales import enumerate_scales, iter_scale_families
 from conftest import random_context
 
 # Golden influence table of the bundled diagnosis context: cubic-set counts
@@ -56,6 +57,21 @@ def preprocessed(ctx):
     return ctx
 
 
+def cubic_oracle(ctx):
+    """Walked attribute sets with no walked set one attribute larger."""
+    walked = {f.attributes: f.witness_indices() for f in iter_scale_families(ctx)}
+    carriers = {frozenset(attrs) for attrs in walked}
+    return [
+        CubicSet(attrs, len(attrs), witnesses)
+        for attrs, witnesses in walked.items()
+        if not any(
+            frozenset(attrs) | {m} in carriers
+            for m in range(ctx.n_attributes)
+            if m not in attrs
+        )
+    ]
+
+
 class TestCubicSets:
     def test_contranominal_has_one_maximal_set(self):
         cubes = cubic_sets(make_contranominal(3))
@@ -81,6 +97,21 @@ class TestCubicSets:
                 first_choice = tuple(w[0] for w in cube.witnesses)
                 pairs = tuple(zip(first_choice, cube.attributes))
                 assert pairs in all_scales
+
+    def test_random_contexts_match_oracle(self, seeded):
+        rng = seeded(506)
+        for _ in range(30):
+            raw = random_context(rng, 8, 8)
+            assert cubic_sets(raw, require_preprocessed=False) == cubic_oracle(raw)
+            ctx = preprocessed(raw)
+            expected = cubic_oracle(ctx)
+            assert cubic_sets(ctx) == expected
+            for entry in influence(ctx).per_attribute:
+                counts: dict[int, int] = {}
+                for cube in expected:
+                    if entry.attribute in cube.attributes:
+                        counts[cube.dimension] = counts.get(cube.dimension, 0) + 1
+                assert entry.cubic_counts == counts
 
     def test_rejects_unclarified(self):
         ctx = FormalContext(["a", "b"], ["x", "y"], [[1, 1], [0, 0]])

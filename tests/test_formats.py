@@ -66,6 +66,15 @@ class TestCxt:
         with pytest.raises(ContextParseError):
             loads_cxt("B\n\n2\n1\n")
 
+    def test_crlf_line_endings(self, tmp_path):
+        ctx = medical_diagnosis()
+        crlf = dumps_cxt(ctx).replace("\n", "\r\n")
+        assert loads_cxt(crlf) == ctx
+        path = tmp_path / "crlf.cxt"
+        path.write_bytes(crlf.encode())
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert load_context(fh, "cxt") == ctx
+
 
 class TestCsv:
     def test_round_trip(self, seeded):

@@ -102,15 +102,6 @@ class TestBacktrackingEnumeration:
                 streamed, key=lambda p: (tuple(m for _, m in p), tuple(g for g, _ in p))
             )
 
-    def test_threads_match_serial(self, seeded):
-        rng = seeded(304)
-        for _ in range(8):
-            ctx = random_context(rng, 7, 7)
-            serial = pairs_multiset(enumerate_scales(ctx))
-            parallel = [s.pairs for s in enumerate_scales(ctx, threads=3)]
-            assert parallel == sorted(parallel, key=lambda p: (tuple(m for _, m in p),))
-            assert sorted(parallel) == serial
-
     def test_count_only_matches_enumeration(self, seeded):
         rng = seeded(305)
         for _ in range(10):
