@@ -14,7 +14,7 @@ from .adjust import delta_adjust, _delta_fraction
 from .context import FormalContext, SubcontextSelection, apply_selection
 from .lattice import canonical_base, enumerate_concepts
 from .rng import SplitMix64, derive_seed
-from .scales import ALGORITHMS, enumerate_bronkerbosch, iter_scale_families
+from .scales import ALGORITHMS, _bronkerbosch_scales, iter_scale_families
 from .tree import train_tree
 
 __all__ = [
@@ -123,6 +123,19 @@ def _structure_metrics(ctx: FormalContext, attributes: Sequence[int]) -> tuple[i
     return len(enumerate_concepts(sub)), len(canonical_base(sub))
 
 
+def _sampled_structure_means(
+    ctx: FormalContext, size: int, samples: int, seed: int
+) -> tuple[float, float]:
+    """Mean concept and base counts over ``samples`` seeded attribute samples."""
+    concepts = bases = 0
+    for j in range(samples):
+        picked = sample_attributes(ctx, size, derive_seed(seed, j, _STREAM_STRUCTURE))
+        c, b = _structure_metrics(ctx, picked)
+        concepts += c
+        bases += b
+    return concepts / samples, bases / samples
+
+
 def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> ExperimentResult:
     """Repeatedly predict a random attribute from a method-chosen feature set.
 
@@ -167,15 +180,9 @@ def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> Exper
     if cfg.method == "adjusted":
         concept_count, base_size = _structure_metrics(ctx, selection)
     else:
-        size = math.ceil(delta * ctx.n_attributes)
-        cc = bb = 0.0
-        samples = 10
-        for j in range(samples):
-            picked = sample_attributes(ctx, size, derive_seed(cfg.seed, j, _STREAM_STRUCTURE))
-            c, b = _structure_metrics(ctx, picked)
-            cc += c
-            bb += b
-        concept_count, base_size = cc / samples, bb / samples
+        concept_count, base_size = _sampled_structure_means(
+            ctx, math.ceil(delta * ctx.n_attributes), 10, cfg.seed
+        )
     return ExperimentResult(
         config=cfg,
         mean_accuracy=mean,
@@ -201,14 +208,7 @@ def run_structure_experiment(
     base_original = len(canonical_base(ctx))
     chosen = delta_adjust(ctx, value).attributes
     concepts_adjusted, base_adjusted = _structure_metrics(ctx, chosen)
-    size = len(chosen)
-    sampled_concepts = []
-    sampled_bases = []
-    for j in range(samples):
-        picked = sample_attributes(ctx, size, derive_seed(seed, j, _STREAM_STRUCTURE))
-        c, b = _structure_metrics(ctx, picked)
-        sampled_concepts.append(c)
-        sampled_bases.append(b)
+    sampled_concepts, sampled_bases = _sampled_structure_means(ctx, len(chosen), samples, seed)
     return {
         "delta": float(value),
         "concepts_original": concepts_original,
@@ -216,8 +216,8 @@ def run_structure_experiment(
         "base_original": base_original,
         "base_adjusted": base_adjusted,
         "sampled_means": {
-            "concepts": sum(sampled_concepts) / samples,
-            "base": sum(sampled_bases) / samples,
+            "concepts": sampled_concepts,
+            "base": sampled_bases,
             "samples": samples,
         },
     }
@@ -244,7 +244,7 @@ def benchmark_enumeration(
         if algorithm == "backtracking":
             items = ((f.dimension, f.scale_count()) for f in iter_scale_families(ctx))
         else:
-            items = ((s.dimension, 1) for s in enumerate_bronkerbosch(ctx))
+            items = ((s.dimension, 1) for s in _bronkerbosch_scales(ctx))
         for dimension, scales in items:
             total += scales
             max_dim = max(max_dim, dimension)

@@ -145,11 +145,6 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", choices=ALGORITHMS, default="backtracking")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--min-dim", type=int, help="peel a core and keep dimensions >= this")
-    p.add_argument(
-        "--preprocess",
-        action="store_true",
-        help="enumerate on the clarified+reduced context and reconstruct",
-    )
     p.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
     p.set_defaults(func=cmd_scales)
 
@@ -297,12 +292,7 @@ def cmd_scales(args: argparse.Namespace) -> int:
             count = ScaleCount.from_histogram(histogram)
         _emit(args, count_report_json(count))
         return 0
-    stream = enumerate_scales(
-        ctx,
-        algorithm=args.algorithm,
-        min_dimension=args.min_dim,
-        preprocess=args.preprocess,
-    )
+    stream = enumerate_scales(ctx, algorithm=args.algorithm, min_dimension=args.min_dim)
     if args.pretty:
         lines = [scale_to_line(s, ctx) for s in stream]
         _emit(args, "\n".join(lines) if lines else "")

@@ -336,20 +336,9 @@ def clarify(ctx: FormalContext) -> tuple[FormalContext, ClarificationMap]:
     """Merge identical rows and identical columns, keeping the lowest index."""
     object_classes = _duplicate_classes(ctx.rows())
     attribute_classes = _duplicate_classes(ctx.cols())
-    keep_objs = [c[0] for c in object_classes]
-    keep_atts = [c[0] for c in attribute_classes]
-    rows = []
-    for g in keep_objs:
-        mask = 0
-        for j, m in enumerate(keep_atts):
-            if ctx.incident(g, m):
-                mask |= 1 << j
-        rows.append(mask)
-    clarified = FormalContext.from_masks(
-        [ctx.objects[g] for g in keep_objs],
-        [ctx.attributes[m] for m in keep_atts],
-        rows,
-    )
+    keep_objs = tuple(c[0] for c in object_classes)
+    keep_atts = tuple(c[0] for c in attribute_classes)
+    clarified = apply_selection(SubcontextSelection(ctx, keep_objs, keep_atts))
     return clarified, ClarificationMap(object_classes, attribute_classes)
 
 

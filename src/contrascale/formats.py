@@ -71,7 +71,7 @@ def save_context(ctx: FormalContext, target: IO[str] | str | os.PathLike, format
 
 
 def loads_cxt(text: str) -> FormalContext:
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     def get(idx: int, what: str) -> str:
         if idx >= len(lines):
@@ -135,7 +135,7 @@ _FALSE_CELLS = {"0", ""}
 
 
 def loads_csv(text: str) -> FormalContext:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))
     try:
         header = next(reader)
     except StopIteration:

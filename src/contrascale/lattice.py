@@ -72,12 +72,6 @@ class ConceptSet:
     def __repr__(self) -> str:
         return f"ConceptSet({len(self.concepts)} concepts)"
 
-    def has_extent_mask(self, mask: int) -> bool:
-        return mask in self._extent_masks
-
-    def extent_masks(self) -> frozenset[int]:
-        return self._extent_masks
-
     def top(self) -> FormalConcept:
         """The concept with the largest extent."""
         return max(self.concepts, key=lambda c: len(c.extent))
@@ -288,7 +282,6 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
     closure minus the premise) and the result is re-sorted by premise.
     """
     n = ctx.n_attributes
-    full = ctx.all_attributes_mask
     rules: list[tuple[int, int]] = []
     found: list[Implication] = []
     current = 0
@@ -299,8 +292,6 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
             found.append(
                 Implication(mask_to_indices(current), mask_to_indices(closed & ~current))
             )
-        if current == full:
-            break
         nxt = _next_closure(current, n, lambda mask: _close_mask(rules, mask))
         if nxt is None:
             break

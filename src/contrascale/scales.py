@@ -18,11 +18,9 @@ from .context import (
     ClarificationMap,
     FormalContext,
     ReductionTrace,
-    clarify,
     mask_to_indices,
     pq_core,
     apply_selection,
-    reduce_context,
 )
 
 __all__ = [
@@ -163,16 +161,27 @@ class BipartiteGraph:
 # -- backtracking enumeration ------------------------------------------------
 
 
-def _branch_families(ctx: FormalContext, first: int) -> list[ScaleFamily]:
-    """Families whose smallest attribute is ``first``, in canonical order."""
+def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
+    """Walk all attribute sets carrying scales, in canonical order.
+
+    Canonical order is depth-first by ascending attribute index, which equals
+    sorting by the attribute tuple.  Each family is yielded as soon as it is
+    found; the walk holds only the stack of unvisited siblings.
+    """
     cols = ctx.cols()
     all_objects = ctx.all_objects_mask
     non_incidence = [all_objects & ~c for c in cols]
     n = ctx.n_attributes
-    out: list[ScaleFamily] = []
-
-    def rec(attrs: tuple[int, ...], wits: tuple[int, ...], forbidden: int, start: int) -> None:
-        for m in range(start, n):
+    # Each entry is (attributes, witness masks, objects that miss one of the
+    # attributes); children are pushed with m descending so that popping
+    # visits them in ascending order.
+    stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    while stack:
+        attrs, wits, forbidden = stack.pop()
+        if attrs:
+            yield ScaleFamily(attrs, wits)
+        start = attrs[-1] + 1 if attrs else 0
+        for m in range(n - 1, start - 1, -1):
             fresh = non_incidence[m] & ~forbidden
             if not fresh:
                 continue
@@ -182,28 +191,7 @@ def _branch_families(ctx: FormalContext, first: int) -> list[ScaleFamily]:
             # a class that drains to zero kills every extension as well.
             if any(w == 0 for w in filtered):
                 continue
-            new_attrs = attrs + (m,)
-            new_wits = filtered + (fresh,)
-            out.append(ScaleFamily(new_attrs, new_wits))
-            rec(new_attrs, new_wits, forbidden | non_incidence[m], m + 1)
-
-    fresh0 = non_incidence[first]
-    if fresh0:
-        attrs0 = (first,)
-        wits0 = (fresh0,)
-        out.append(ScaleFamily(attrs0, wits0))
-        rec(attrs0, wits0, non_incidence[first], first + 1)
-    return out
-
-
-def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
-    """Walk all attribute sets carrying scales, in canonical order.
-
-    Canonical order is depth-first by ascending attribute index, which equals
-    sorting by the attribute tuple.
-    """
-    for first in range(ctx.n_attributes):
-        yield from _branch_families(ctx, first)
+            stack.append((attrs + (m,), filtered + (fresh,), forbidden | non_incidence[m]))
 
 
 def _reindex_scale(
@@ -221,26 +209,18 @@ def enumerate_scales(
     *,
     algorithm: str = "backtracking",
     min_dimension: int | None = None,
-    preprocess: bool = False,
 ) -> Iterator[ContranominalScale]:
-    """Stream every contranominal scale of ``ctx`` exactly once.
+    """Stream every contranominal scale of ``ctx`` exactly once, in canonical order.
 
+    The backtracking stream yields each scale as its family is walked.
     ``min_dimension=k`` first peels the (k-1, k-1)-core, which preserves all
-    scales of dimension >= k, and filters the rest.  ``preprocess=True``
-    enumerates on the clarified and reduced context and reconstructs scales
-    of the original.  Both are opt-in: cores silently drop small scales and
-    preprocessing changes the search space, so neither is applied by default.
+    scales of dimension >= k, and filters the rest; it is opt-in because
+    cores silently drop small scales.  Scales of a clarified or reduced
+    context map back to the original through ``scales_from_clarified`` and
+    ``scales_from_reduced``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if preprocess:
-        clarified, cmap = clarify(ctx)
-        reduced, trace = reduce_context(clarified)
-        inner = enumerate_scales(reduced, algorithm=algorithm, min_dimension=min_dimension)
-        restored = scales_from_reduced(inner, trace, clarified)
-        originals = scales_from_clarified(restored, cmap)
-        yield from sorted(originals, key=ContranominalScale.sort_key)
-        return
     if min_dimension is not None and min_dimension > 1:
         core_sel = pq_core(ctx, min_dimension - 1, min_dimension - 1)
         core_ctx = apply_selection(core_sel)
@@ -324,20 +304,18 @@ def _clique_subsets(clique: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(members[i] for i in range(len(members)) if bits >> i & 1)
 
 
-def enumerate_bronkerbosch(ctx: FormalContext) -> Iterator[ContranominalScale]:
-    """All scales via cliques of the conflict graph.
+def _bronkerbosch_scales(ctx: FormalContext) -> Iterator[ContranominalScale]:
+    """Scales via cliques of the conflict graph, in discovery order.
 
     Bron-Kerbosch yields the maximal cliques; every clique is then recovered
     by subset expansion with global de-duplication, since any clique of the
-    conflict graph corresponds to exactly one scale.  Output is re-sorted
-    into the canonical stream order.
+    conflict graph corresponds to exactly one scale.
     """
     graph = conflict_graph(ctx)
     if not graph.vertices:
         return
     adj = graph.adjacency()
     seen: set[tuple[int, ...]] = set()
-    scales = []
     for clique in _maximal_cliques(adj):
         for subset in _clique_subsets(tuple(clique)):
             if subset in seen:
@@ -346,9 +324,12 @@ def enumerate_bronkerbosch(ctx: FormalContext) -> Iterator[ContranominalScale]:
             pairs = sorted((graph.vertices[v] for v in subset), key=lambda p: p[1])
             scale = ContranominalScale(tuple(pairs))
             assert scale.is_valid_in(ctx)
-            scales.append(scale)
-    scales.sort(key=ContranominalScale.sort_key)
-    yield from scales
+            yield scale
+
+
+def enumerate_bronkerbosch(ctx: FormalContext) -> Iterator[ContranominalScale]:
+    """All scales via cliques of the conflict graph, in canonical stream order."""
+    yield from sorted(_bronkerbosch_scales(ctx), key=ContranominalScale.sort_key)
 
 
 def enumerate_bruteforce(ctx: FormalContext) -> Iterator[ContranominalScale]:

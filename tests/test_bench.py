@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from contrascale import scales
 from contrascale.adjust import delta_adjust
 from contrascale.bench import (
     ExperimentConfig,
@@ -225,11 +226,25 @@ class TestBenchmark:
         assert report["backtracking"]["count"] == 0
         assert report["bronkerbosch"]["count"] == 0
 
-    def test_timeout_is_reported_not_raised(self):
+    def test_timeout_is_reported_not_raised(self, monkeypatch):
         ctx = make_contranominal(9)
         report = benchmark_enumeration(ctx, ("backtracking",), timeout=0.0)
         assert not report["backtracking"]["finished"]
         assert report["backtracking"]["count"] is None
+
+        cliques = []
+        maximal_cliques = scales._maximal_cliques
+
+        def counted(adj):
+            for clique in maximal_cliques(adj):
+                cliques.append(clique)
+                yield clique
+
+        monkeypatch.setattr(scales, "_maximal_cliques", counted)
+        report = benchmark_enumeration(medical_diagnosis(), ("bronkerbosch",), timeout=0.0)
+        assert not report["bronkerbosch"]["finished"]
+        assert report["bronkerbosch"]["count"] is None
+        assert len(cliques) == 1
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from contrascale.cli import main
-from contrascale.context import make_contranominal
+from contrascale.context import FormalContext, make_contranominal
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_cxt, loads_csv, loads_cxt
 
@@ -242,3 +242,42 @@ class TestErrors:
     def test_bad_delta_is_data_error(self, capsys, k4_cxt):
         code, _, _ = run(capsys, "adjust", "--delta", "2.0", k4_cxt)
         assert code == 2
+
+
+# Subcommands that need a clarified and reduced context, or two attributes.
+_PREPROCESSED_ONLY = ("influence", "adjust", "experiment structure", "experiment knowledge")
+
+_DEGENERATE_COMMANDS = {
+    "convert": ["convert", "--to", "cxt"],
+    "stats": ["stats", "--full"],
+    "preprocess": ["preprocess"],
+    "core": ["core", "-p", "1", "-q", "1"],
+    "scales": ["scales"],
+    "scales count": ["scales", "--count-only"],
+    "scales bronkerbosch": ["scales", "--algorithm", "bronkerbosch"],
+    "scales min-dim": ["scales", "--min-dim", "2"],
+    "influence": ["influence", "--pretty"],
+    "adjust": ["adjust", "--delta", "0.5"],
+    "concepts": ["concepts"],
+    "base": ["base"],
+    "experiment structure": ["experiment", "structure"],
+    "experiment knowledge": ["experiment", "knowledge", "--seed", "1", "--repetitions", "2"],
+    "bench": ["bench"],
+}
+
+
+@pytest.mark.parametrize(
+    "objects, attributes, rows, data_errors",
+    [
+        pytest.param([], ["a", "b", "c"], [], _PREPROCESSED_ONLY, id="0x3"),
+        pytest.param(["g", "h", "i"], [], [0, 0, 0], _PREPROCESSED_ONLY, id="3x0"),
+        pytest.param([], [], [], ("experiment knowledge",), id="0x0"),
+        pytest.param(["g", "h"], ["a", "b"], [3, 3], _PREPROCESSED_ONLY, id="2x2-full"),
+        pytest.param(["g", "h"], ["a", "b"], [0, 0], _PREPROCESSED_ONLY, id="2x2-empty"),
+    ],
+)
+def test_degenerate_context_exit_codes(capsys, tmp_path, objects, attributes, rows, data_errors):
+    path = tmp_path / "degenerate.cxt"
+    path.write_text(dumps_cxt(FormalContext.from_masks(objects, attributes, rows)))
+    codes = {name: run(capsys, *argv, str(path))[0] for name, argv in _DEGENERATE_COMMANDS.items()}
+    assert codes == {name: 2 if name in data_errors else 0 for name in _DEGENERATE_COMMANDS}

@@ -68,6 +68,7 @@ class TestCxt:
 
     def test_crlf_line_endings(self, tmp_path):
         ctx = medical_diagnosis()
+        assert loads_cxt(dumps_cxt(ctx).replace("\n", "\r")) == ctx
         crlf = dumps_cxt(ctx).replace("\n", "\r\n")
         assert loads_cxt(crlf) == ctx
         path = tmp_path / "crlf.cxt"
@@ -81,7 +82,9 @@ class TestCsv:
         rng = seeded(202)
         for _ in range(20):
             ctx = random_context(rng)
-            assert loads_csv(dumps_csv(ctx)) == ctx
+            text = dumps_csv(ctx)
+            for eol in ("\n", "\r\n", "\r"):
+                assert loads_csv(text.replace("\n", eol)) == ctx
 
     def test_accepts_x_and_blank_cells(self):
         ctx = loads_csv(",p,q\na,x,\nb,1,0\n")

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from contrascale import scales
 from contrascale.context import (
     FormalContext,
     clarify,
@@ -126,6 +127,19 @@ class TestBacktrackingEnumeration:
                         sub = attrs[:drop] + attrs[drop + 1 :]
                         assert sub in generators
 
+    def test_walk_yields_each_family_when_found(self, monkeypatch):
+        built = []
+        family = scales.ScaleFamily
+
+        def counted(attributes, witness_masks):
+            built.append(attributes)
+            return family(attributes, witness_masks)
+
+        monkeypatch.setattr(scales, "ScaleFamily", counted)
+        ctx = make_contranominal(4)
+        assert next(iter_scale_families(ctx)).attributes == (0,)
+        assert built == [(0,)]
+
 
 class TestOracleEquivalence:
     def test_bronkerbosch_on_two_dimensional(self):
@@ -217,14 +231,6 @@ class TestReconstruction:
             restored = scales_from_reduced(enumerate_scales(reduced), trace, clarified)
             expanded = pairs_multiset(scales_from_clarified(restored, cmap))
             assert expanded == pairs_multiset(enumerate_scales(ctx))
-
-    def test_preprocess_flag_matches_direct(self, seeded):
-        rng = seeded(310)
-        for _ in range(10):
-            ctx = inject_duplicates(random_context(rng, 5, 5), rng)
-            assert pairs_multiset(enumerate_scales(ctx, preprocess=True)) == pairs_multiset(
-                enumerate_scales(ctx)
-            )
 
     def test_mismatched_map_rejected(self):
         ctx = make_contranominal(2)
