@@ -65,9 +65,6 @@ class AttributeInfluence:
 class InfluenceReport:
     per_attribute: tuple[AttributeInfluence, ...]
 
-    def zeta_values(self) -> tuple[float, ...]:
-        return tuple(a.zeta for a in self.per_attribute)
-
 
 @dataclass(frozen=True)
 class AdjustedSelection:
@@ -203,14 +200,8 @@ def _count_columns(report: InfluenceReport) -> list[int]:
     return sorted(ks)
 
 
-def influence_table(
-    ctx: FormalContext,
-    delta: float | str | Fraction | None = None,
-    *,
-    require_preprocessed: bool = True,
-) -> str:
+def influence_table(report: InfluenceReport, delta: float | str | Fraction | None = None) -> str:
     """Plain-text influence table in original attribute order."""
-    report = influence(ctx, require_preprocessed=require_preprocessed)
     if not report.per_attribute:
         return ""
     chosen = set(select_attributes(report, delta)) if delta is not None else set()

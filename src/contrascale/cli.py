@@ -49,7 +49,6 @@ from .lattice import (
 )
 from .scales import (
     ALGORITHMS,
-    ScaleCount,
     count_report_json,
     count_scales,
     enumerate_scales,
@@ -142,7 +141,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scales", help="enumerate contranominal scales")
     _add_input(p)
     _add_output(p)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="backtracking")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--min-dim", type=int, help="peel a core and keep dimensions >= this")
     p.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
@@ -283,16 +281,9 @@ def cmd_core(args: argparse.Namespace) -> int:
 def cmd_scales(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     if args.count_only:
-        if args.algorithm == "backtracking":
-            count = count_scales(ctx, min_dimension=args.min_dim)
-        else:
-            histogram: dict[int, int] = {}
-            for scale in enumerate_scales(ctx, algorithm=args.algorithm, min_dimension=args.min_dim):
-                histogram[scale.dimension] = histogram.get(scale.dimension, 0) + 1
-            count = ScaleCount.from_histogram(histogram)
-        _emit(args, count_report_json(count))
+        _emit(args, count_report_json(count_scales(ctx, min_dimension=args.min_dim)))
         return 0
-    stream = enumerate_scales(ctx, algorithm=args.algorithm, min_dimension=args.min_dim)
+    stream = enumerate_scales(ctx, min_dimension=args.min_dim)
     if args.pretty:
         lines = [scale_to_line(s, ctx) for s in stream]
         _emit(args, "\n".join(lines) if lines else "")
@@ -303,11 +294,13 @@ def cmd_scales(args: argparse.Namespace) -> int:
 
 def cmd_influence(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    if args.pretty:
-        _emit(args, influence_table(ctx, args.delta))
-        return 0
     report = influence(ctx)
-    _emit(args, influence_csv(report) if args.csv else influence_json(report))
+    if args.pretty:
+        _emit(args, influence_table(report, args.delta))
+    elif args.csv:
+        _emit(args, influence_csv(report))
+    else:
+        _emit(args, influence_json(report))
     return 0
 
 

@@ -57,7 +57,7 @@ class FormalContext:
     enumeration algorithms walk attribute subsets.
     """
 
-    __slots__ = ("objects", "attributes", "_rows", "_cols", "_obj_index", "_att_index")
+    __slots__ = ("objects", "attributes", "_rows", "_cols")
 
     def __init__(
         self,
@@ -98,8 +98,6 @@ class FormalContext:
                 cols[low.bit_length() - 1] |= bit
                 rest ^= low
         self._cols: tuple[int, ...] = tuple(cols)
-        self._obj_index = {label: i for i, label in enumerate(self.objects)}
-        self._att_index = {label: i for i, label in enumerate(self.attributes)}
 
     @classmethod
     def from_masks(
@@ -112,21 +110,6 @@ class FormalContext:
         n = len(attributes)
         incidence = [[(mask >> m) & 1 for m in range(n)] for mask in rows]
         return cls(objects, attributes, incidence)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        pairs: Iterable[tuple[str, str]],
-    ) -> "FormalContext":
-        """Build from (object label, attribute label) incidence pairs."""
-        oi = {label: i for i, label in enumerate(objects)}
-        ai = {label: i for i, label in enumerate(attributes)}
-        rows = [0] * len(objects)
-        for g, m in pairs:
-            rows[oi[g]] |= 1 << ai[m]
-        return cls.from_masks(objects, attributes, rows)
 
     # -- size and lookups ------------------------------------------------
 
@@ -162,12 +145,6 @@ class FormalContext:
 
     def cols(self) -> tuple[int, ...]:
         return self._cols
-
-    def object_index(self, label: str) -> int:
-        return self._obj_index[label]
-
-    def attribute_index(self, label: str) -> int:
-        return self._att_index[label]
 
     @property
     def density(self) -> float:

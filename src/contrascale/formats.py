@@ -135,15 +135,20 @@ _FALSE_CELLS = {"0", ""}
 
 
 def loads_csv(text: str) -> FormalContext:
-    reader = csv.reader(io.StringIO(text, newline=None))
+    # Strict mode rejects malformed quoting, such as a quoted cell that is
+    # never closed, instead of reading it to the end of the text.
+    reader = csv.reader(io.StringIO(text, newline=None), strict=True)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ContextParseError(1, "empty file") from None
+        records = list(reader)
+    except csv.Error as exc:
+        raise ContextParseError(reader.line_num, str(exc)) from None
+    if not records:
+        raise ContextParseError(1, "empty file")
+    header = records[0]
     attributes = header[1:]
     objects = []
     rows = []
-    for lineno, record in enumerate(reader, start=2):
+    for lineno, record in enumerate(records[1:], start=2):
         if not record:
             continue
         if len(record) != len(header):

@@ -226,25 +226,16 @@ class Implication:
 
 
 class ImplicationBase:
-    """An implication list with closure evaluation."""
+    """An implication list; ``close_under`` evaluates closures under it."""
 
     def __init__(self, implications: Iterable[Implication]):
         self.implications: tuple[Implication, ...] = tuple(implications)
-        self._masks = tuple(
-            (imp.premise_mask, imp.conclusion_mask) for imp in self.implications
-        )
 
     def __len__(self) -> int:
         return len(self.implications)
 
     def __iter__(self) -> Iterator[Implication]:
         return iter(self.implications)
-
-    def close_mask(self, attribute_mask: int) -> int:
-        return _close_mask(self._masks, attribute_mask)
-
-    def close(self, attributes: Iterable[int]) -> tuple[int, ...]:
-        return mask_to_indices(self.close_mask(indices_to_mask(attributes)))
 
 
 def _close_mask(rules: Sequence[tuple[int, int]], mask: int) -> int:

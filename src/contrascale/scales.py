@@ -1,7 +1,7 @@
 """Enumeration of contranominal scales.
 
 A contranominal scale of dimension k is a k x k subcontext whose only
-non-incidences form the diagonal.  The primary enumerator is a recursive
+non-incidences form the diagonal.  The primary enumerator is a depth-first
 backtracking search over attribute subsets; a Bron-Kerbosch clique search on
 the conflict graph serves as an independent cross-check.
 """
@@ -18,9 +18,11 @@ from .context import (
     ClarificationMap,
     FormalContext,
     ReductionTrace,
+    SubcontextSelection,
+    apply_selection,
+    indices_to_mask,
     mask_to_indices,
     pq_core,
-    apply_selection,
 )
 
 __all__ = [
@@ -194,49 +196,49 @@ def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
             stack.append((attrs + (m,), filtered + (fresh,), forbidden | non_incidence[m]))
 
 
-def _reindex_scale(
-    scale: ContranominalScale,
-    object_map: Sequence[int],
-    attribute_map: Sequence[int],
-) -> ContranominalScale:
-    return ContranominalScale(
-        tuple((object_map[g], attribute_map[m]) for g, m in scale.pairs)
-    )
+def _min_dimension_core(
+    ctx: FormalContext, min_dimension: int | None
+) -> tuple[FormalContext, SubcontextSelection | None]:
+    """The context to walk for scales of dimension >= ``min_dimension``.
+
+    A scale of dimension k lies in the (k-1, k-1)-core, so for k > 1 the walk
+    runs on that core and its selection maps results back; otherwise it runs
+    on ``ctx`` itself and the selection is ``None``.
+    """
+    if min_dimension is None or min_dimension <= 1:
+        return ctx, None
+    sel = pq_core(ctx, min_dimension - 1, min_dimension - 1)
+    return apply_selection(sel), sel
 
 
 def enumerate_scales(
-    ctx: FormalContext,
-    *,
-    algorithm: str = "backtracking",
-    min_dimension: int | None = None,
+    ctx: FormalContext, *, min_dimension: int | None = None
 ) -> Iterator[ContranominalScale]:
     """Stream every contranominal scale of ``ctx`` exactly once, in canonical order.
 
-    The backtracking stream yields each scale as its family is walked.
-    ``min_dimension=k`` first peels the (k-1, k-1)-core, which preserves all
-    scales of dimension >= k, and filters the rest; it is opt-in because
-    cores silently drop small scales.  Scales of a clarified or reduced
-    context map back to the original through ``scales_from_clarified`` and
-    ``scales_from_reduced``.
+    Each scale is yielded as its family is walked and is checked once with
+    ``is_valid_in``.  ``min_dimension=k`` walks the (k-1, k-1)-core, which
+    keeps every scale of dimension >= k, and skips smaller families; it is
+    opt-in because cores silently drop small scales.  Bron-Kerbosch
+    (``enumerate_bronkerbosch``) is the independent cross-check of this
+    stream.  Scales of a clarified or reduced context map back to the
+    original through ``scales_from_clarified`` and ``scales_from_reduced``.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if min_dimension is not None and min_dimension > 1:
-        core_sel = pq_core(ctx, min_dimension - 1, min_dimension - 1)
-        core_ctx = apply_selection(core_sel)
-        inner = enumerate_scales(core_ctx, algorithm=algorithm)
-        for scale in inner:
-            if scale.dimension >= min_dimension:
-                restored = _reindex_scale(
-                    scale, core_sel.object_indices, core_sel.attribute_indices
-                )
-                assert restored.is_valid_in(ctx)
-                yield restored
-        return
-    if algorithm == "bronkerbosch":
-        yield from enumerate_bronkerbosch(ctx)
-        return
-    for family in iter_scale_families(ctx):
+    core, sel = _min_dimension_core(ctx, min_dimension)
+    least = min_dimension or 0
+    for family in iter_scale_families(core):
+        if family.dimension < least:
+            continue
+        if sel is not None:
+            # Both index maps are increasing, so canonical order is kept.
+            objs = sel.object_indices
+            family = ScaleFamily(
+                tuple(sel.attribute_indices[m] for m in family.attributes),
+                tuple(
+                    indices_to_mask(objs[g] for g in mask_to_indices(w))
+                    for w in family.witness_masks
+                ),
+            )
         for scale in family.iter_scales():
             assert scale.is_valid_in(ctx)
             yield scale
@@ -244,17 +246,13 @@ def enumerate_scales(
 
 def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> ScaleCount:
     """Scale totals per dimension without materializing the scales."""
-    if min_dimension is not None and min_dimension > 1:
-        core_ctx = apply_selection(pq_core(ctx, min_dimension - 1, min_dimension - 1))
-        inner = count_scales(core_ctx)
-        return ScaleCount.from_histogram(
-            {k: v for k, v in inner.histogram.items() if k >= min_dimension}
-        )
+    core, _ = _min_dimension_core(ctx, min_dimension)
+    least = min_dimension or 0
     histogram: dict[int, int] = {}
-    for family in iter_scale_families(ctx):
+    for family in iter_scale_families(core):
         dim = family.dimension
         histogram[dim] = histogram.get(dim, 0) + family.scale_count()
-    return ScaleCount.from_histogram(histogram)
+    return ScaleCount.from_histogram({k: v for k, v in histogram.items() if k >= least})
 
 
 def max_dimension(ctx: FormalContext) -> int:

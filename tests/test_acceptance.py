@@ -347,34 +347,20 @@ def test_criterion_10_determinism(tmp_path, capsys):
         dup = tmp_path / "dup.csv"
         dup.write_text(",x,y,z\na,1,1,0\nb,1,1,0\nc,0,0,1\n")
         fixture = str(diagnosis)
-        commands: list[tuple[list[str], list[str] | None]] = [
-            (["convert", "--to", "csv", fixture], None),
-            (["stats", "--full", fixture], None),
-            (["preprocess", str(dup)], None),
-            (["core", "-p", "2", "-q", "2", fixture], None),
-            (["scales", fixture], None),
-            (["scales", "--count-only", fixture], None),
-            (["scales", "--pretty", fixture], None),
-            (["influence", fixture], None),
-            (["adjust", "--delta", "0.5", fixture], None),
-            (["concepts", fixture], None),
-            (["base", fixture], None),
-            (
-                ["experiment", "structure", "--delta", "0.5", "--seed", "3", fixture],
-                None,
-            ),
-            (
-                [
-                    "experiment",
-                    "knowledge",
-                    "--repetitions",
-                    "20",
-                    "--seed",
-                    "3",
-                    fixture,
-                ],
-                None,
-            ),
+        commands: list[list[str]] = [
+            ["convert", "--to", "csv", fixture],
+            ["stats", "--full", fixture],
+            ["preprocess", str(dup)],
+            ["core", "-p", "2", "-q", "2", fixture],
+            ["scales", fixture],
+            ["scales", "--count-only", fixture],
+            ["scales", "--pretty", fixture],
+            ["influence", fixture],
+            ["adjust", "--delta", "0.5", fixture],
+            ["concepts", fixture],
+            ["base", fixture],
+            ["experiment", "structure", "--delta", "0.5", "--seed", "3", fixture],
+            ["experiment", "knowledge", "--repetitions", "20", "--seed", "3", fixture],
         ]
 
         def run_bytes(argv: list[str]) -> bytes:
@@ -383,9 +369,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
             assert code == 0, argv
             return out.encode()
 
-        for serial_argv, parallel_argv in commands:
-            first = run_bytes(serial_argv)
-            second = run_bytes(serial_argv)
-            assert first == second, f"serial runs differ for {serial_argv}"
-            third = run_bytes(parallel_argv or serial_argv)
-            assert first == third, f"third run differs for {serial_argv}"
+        for argv in commands:
+            first = run_bytes(argv)
+            assert run_bytes(argv) == first, f"second run differs for {argv}"
+            assert run_bytes(argv) == first, f"third run differs for {argv}"

@@ -235,7 +235,7 @@ class TestDeltaAdjust:
 
 class TestRendering:
     def test_diagnosis_table(self):
-        table = influence_table(medical_diagnosis(), delta=0.5)
+        table = influence_table(influence(medical_diagnosis()), delta=0.5)
         lines = table.splitlines()
         assert lines[0].split() == ["attribute", "2", "3", "4", "zeta", "selected"]
         c_row = next(line for line in lines if line.startswith("c "))
@@ -244,13 +244,13 @@ class TestRendering:
         assert i_row.split() == ["i", "3", "16", "0", "48.7", "*"]
 
     def test_contranominal_table_rounds_scores(self):
-        table = influence_table(make_contranominal(3))
+        table = influence_table(influence(make_contranominal(3)))
         for line in table.splitlines()[1:]:
             assert line.split()[-1] == "2.7"
 
     def test_empty_context_renders_empty(self):
         ctx = FormalContext([], [], [])
-        assert influence_table(ctx) == ""
+        assert influence_table(influence(ctx)) == ""
 
     def test_csv_and_json_forms(self):
         report = influence(medical_diagnosis())

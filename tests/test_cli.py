@@ -107,11 +107,6 @@ class TestScales:
         assert len(lines) == 15
         assert lines[0].startswith("dim=1; pairs=(")
 
-    def test_bronkerbosch_agrees(self, capsys, diagnosis_cxt):
-        _, a, _ = run(capsys, "scales", diagnosis_cxt)
-        _, b, _ = run(capsys, "scales", "--algorithm", "bronkerbosch", diagnosis_cxt)
-        assert a == b
-
     def test_count_matches_enumeration_on_fixture(self, capsys, diagnosis_cxt):
         _, out_count, _ = run(capsys, "scales", "--count-only", diagnosis_cxt)
         _, out_full, _ = run(capsys, "scales", diagnosis_cxt)
@@ -254,7 +249,7 @@ _DEGENERATE_COMMANDS = {
     "core": ["core", "-p", "1", "-q", "1"],
     "scales": ["scales"],
     "scales count": ["scales", "--count-only"],
-    "scales bronkerbosch": ["scales", "--algorithm", "bronkerbosch"],
+    "scales count min-dim": ["scales", "--count-only", "--min-dim", "2"],
     "scales min-dim": ["scales", "--min-dim", "2"],
     "influence": ["influence", "--pretty"],
     "adjust": ["adjust", "--delta", "0.5"],

@@ -104,6 +104,11 @@ class TestCsv:
         with pytest.raises(ContextParseError):
             loads_csv(",p\na,2\n")
 
+    def test_unterminated_quote_reports_line(self):
+        with pytest.raises(ContextParseError) as err:
+            loads_csv(',p\na,"1\n')
+        assert err.value.line == 2
+
 
 class TestFileHandling:
     def test_save_and_load_files(self, tmp_path):

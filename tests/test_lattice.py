@@ -37,7 +37,7 @@ HALF_ADJUSTED = tuple("dehijlno")
 
 def diagnosis_half_adjusted():
     ctx = medical_diagnosis()
-    atts = tuple(ctx.attribute_index(label) for label in HALF_ADJUSTED)
+    atts = tuple(ctx.attributes.index(label) for label in HALF_ADJUSTED)
     return ctx, atts
 
 
@@ -292,7 +292,7 @@ class TestCanonicalBase:
                 assert is_valid_implication(ctx, imp)
                 assert imp.conclusion  # non-empty conclusions only
             for bits in range(1 << ctx.n_attributes):
-                assert set(base.close(mask_to_indices(bits))) == set(
+                assert set(close_under(base, mask_to_indices(bits))) == set(
                     mask_to_indices(ctx.closure_mask(bits))
                 )
 

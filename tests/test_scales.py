@@ -27,6 +27,7 @@ from contrascale.scales import (
     scales_from_reduced,
     to_bipartite,
 )
+from contrascale.datasets import medical_diagnosis
 from conftest import inject_duplicates, random_context
 
 
@@ -158,6 +159,10 @@ class TestOracleEquivalence:
             c = pairs_multiset(enumerate_bruteforce(ctx))
             assert a == b == c
 
+    def test_bronkerbosch_stream_order_on_diagnosis(self):
+        diag = medical_diagnosis()
+        assert list(enumerate_scales(diag)) == list(enumerate_bronkerbosch(diag))
+
 
 class TestMaxDimension:
     def test_contranominal(self):
@@ -179,6 +184,22 @@ class TestCorePruning:
                 )
                 via_core = pairs_multiset(enumerate_scales(ctx, min_dimension=k))
                 assert direct == via_core
+                full = count_scales(ctx).histogram
+                assert count_scales(ctx, min_dimension=k).histogram == {
+                    d: c for d, c in full.items() if d >= k
+                }
+
+    def test_core_stream_checks_each_scale_once(self, monkeypatch):
+        checks = []
+        is_valid_in = ContranominalScale.is_valid_in
+
+        def counted(scale, ctx):
+            checks.append(scale)
+            return is_valid_in(scale, ctx)
+
+        monkeypatch.setattr(ContranominalScale, "is_valid_in", counted)
+        streamed = list(enumerate_scales(medical_diagnosis(), min_dimension=2))
+        assert streamed and checks == streamed
 
 
 class TestReconstruction:
@@ -282,7 +303,3 @@ class TestSerialization:
             "dim=2; pairs=(1,1),(2,2)",
             "dim=1; pairs=(2,2)",
         ]
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_scales(make_contranominal(2), algorithm="magic"))
