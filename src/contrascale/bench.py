@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .adjust import delta_adjust, _delta_fraction
 from .context import FormalContext, SubcontextSelection, apply_selection
-from .lattice import canonical_base, enumerate_concepts
+from .lattice import canonical_base
 from .rng import SplitMix64, derive_seed
 from .scales import ALGORITHMS, _bronkerbosch_scales, iter_scale_families
 from .tree import train_tree
@@ -43,7 +43,7 @@ _STREAM_STRUCTURE = 3
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    delta: float = 0.5
+    delta: float | Fraction = 0.5
     repetitions: int = 1000
     split_fraction: float = 0.5
     method: str = "adjusted"
@@ -117,10 +117,12 @@ def decision_tree_accuracy(
 
 
 def _structure_metrics(ctx: FormalContext, attributes: Sequence[int]) -> tuple[int, int]:
+    """Concept and implication counts of ``ctx`` restricted to ``attributes``."""
     sub = apply_selection(
         SubcontextSelection(ctx, tuple(range(ctx.n_objects)), tuple(attributes))
     )
-    return len(enumerate_concepts(sub)), len(canonical_base(sub))
+    base = canonical_base(sub)
+    return base.concepts, len(base)
 
 
 def _sampled_structure_means(
@@ -204,8 +206,7 @@ def run_structure_experiment(
     if samples < 1:
         raise ValueError("need at least one sampling seed")
     value = _delta_fraction(delta)
-    concepts_original = len(enumerate_concepts(ctx))
-    base_original = len(canonical_base(ctx))
+    concepts_original, base_original = _structure_metrics(ctx, range(ctx.n_attributes))
     chosen = delta_adjust(ctx, value).attributes
     concepts_adjusted, base_adjusted = _structure_metrics(ctx, chosen)
     sampled_concepts, sampled_bases = _sampled_structure_means(ctx, len(chosen), samples, seed)
@@ -271,7 +272,7 @@ def experiment_result_json(result: ExperimentResult) -> str:
     payload = {
         "config": {
             "seed": result.config.seed,
-            "delta": result.config.delta,
+            "delta": float(result.config.delta),
             "repetitions": result.config.repetitions,
             "split_fraction": result.config.split_fraction,
             "method": result.config.method,

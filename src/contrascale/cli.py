@@ -356,7 +356,7 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
             ctx,
             ExperimentConfig(
                 seed=args.seed,
-                delta=float(Fraction(args.delta)),
+                delta=Fraction(args.delta),
                 repetitions=args.repetitions,
                 split_fraction=args.split,
                 method=method,

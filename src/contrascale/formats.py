@@ -82,13 +82,15 @@ def loads_cxt(text: str) -> FormalContext:
         raise ContextParseError(1, "expected Burmeister header 'B'")
     if get(1, "blank line").strip() != "":
         raise ContextParseError(2, "expected blank line after header")
-    try:
-        n_objects = int(get(2, "object count").strip())
-        n_attributes = int(get(3, "attribute count").strip())
-    except ValueError as exc:
-        raise ContextParseError(4, f"bad size header: {exc}") from None
-    if n_objects < 0 or n_attributes < 0:
-        raise ContextParseError(3, "sizes must be non-negative")
+    sizes = []
+    for idx, what in ((2, "object count"), (3, "attribute count")):
+        try:
+            sizes.append(int(get(idx, what).strip()))
+        except ValueError as exc:
+            raise ContextParseError(idx + 1, f"bad size header: {exc}") from None
+        if sizes[-1] < 0:
+            raise ContextParseError(idx + 1, "sizes must be non-negative")
+    n_objects, n_attributes = sizes
     if get(4, "blank line").strip() != "":
         raise ContextParseError(5, "expected blank line after sizes")
     base = 5
@@ -138,17 +140,22 @@ def loads_csv(text: str) -> FormalContext:
     # Strict mode rejects malformed quoting, such as a quoted cell that is
     # never closed, instead of reading it to the end of the text.
     reader = csv.reader(io.StringIO(text, newline=None), strict=True)
+    # Records keep the line they start on, since a quoted cell may span lines.
+    records = []
+    start = 1
     try:
-        records = list(reader)
+        for record in reader:
+            records.append((start, record))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ContextParseError(reader.line_num, str(exc)) from None
     if not records:
         raise ContextParseError(1, "empty file")
-    header = records[0]
+    header = records[0][1]
     attributes = header[1:]
     objects = []
     rows = []
-    for lineno, record in enumerate(records[1:], start=2):
+    for lineno, record in records[1:]:
         if not record:
             continue
         if len(record) != len(header):

@@ -53,16 +53,12 @@ class ConceptSet:
         if len(set(extents)) != len(extents):
             raise ValueError("concepts must have pairwise distinct extents")
         self.concepts: tuple[FormalConcept, ...] = tuple(items)
-        self._extent_masks = frozenset(c.extent_mask for c in items)
 
     def __len__(self) -> int:
         return len(self.concepts)
 
     def __iter__(self) -> Iterator[FormalConcept]:
         return iter(self.concepts)
-
-    def __contains__(self, concept: FormalConcept) -> bool:
-        return concept.extent_mask in self._extent_masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConceptSet):
@@ -226,10 +222,15 @@ class Implication:
 
 
 class ImplicationBase:
-    """An implication list; ``close_under`` evaluates closures under it."""
+    """The result of ``canonical_base``; ``close_under`` evaluates closures under it.
 
-    def __init__(self, implications: Iterable[Implication]):
+    ``concepts`` is the number of intents its lectic walk passed, that is,
+    the number of formal concepts of the context.
+    """
+
+    def __init__(self, implications: Iterable[Implication], concepts: int):
         self.implications: tuple[Implication, ...] = tuple(implications)
+        self.concepts = concepts
 
     def __len__(self) -> int:
         return len(self.implications)
@@ -271,14 +272,19 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
     implications found so far; each one whose context closure is larger
     contributes an implication.  Conclusions are stored saturated (full
     closure minus the premise) and the result is re-sorted by premise.
+    The other sets the walk passes are exactly the intents (Ganter 2010), so
+    their number is returned as the concept count.
     """
     n = ctx.n_attributes
     rules: list[tuple[int, int]] = []
     found: list[Implication] = []
+    concepts = 0
     current = 0
     while True:
         closed = ctx.closure_mask(current)
-        if closed != current:
+        if closed == current:
+            concepts += 1
+        else:
             rules.append((current, closed))
             found.append(
                 Implication(mask_to_indices(current), mask_to_indices(closed & ~current))
@@ -288,10 +294,10 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
             break
         current = nxt
     found.sort(key=lambda imp: imp.premise)
-    return ImplicationBase(found)
+    return ImplicationBase(found, concepts)
 
 
-def restrict_base_on_removal(base: ImplicationBase, m: int) -> list[Implication]:
+def restrict_base_on_removal(base: Sequence[Implication], m: int) -> list[Implication]:
     """Generating set for the context without attribute ``m``.
 
     Implications free of ``m`` are kept; ``m`` is stripped from conclusions

@@ -32,7 +32,6 @@ from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_cxt, load_context
 from contrascale.lattice import (
     Implication,
-    ImplicationBase,
     canonical_base,
     close_under,
     enumerate_concepts,
@@ -230,7 +229,7 @@ def test_criterion_06_implication_properties():
                     imps = list(base)
                     for m in range(n_att):
                         if m not in keep:
-                            imps = restrict_base_on_removal(ImplicationBase(imps), m)
+                            imps = restrict_base_on_removal(imps, m)
                     removed = set(range(n_att)) - set(keep)
                     for imp in imps:
                         assert is_valid_implication(ctx, imp)

@@ -191,6 +191,21 @@ class TestExperiments:
         assert [p["config"]["method"] for p in payload] == ["adjusted", "sampled"]
         assert all(len(p["repetitions"]) == 5 for p in payload)
 
+    def test_knowledge_delta_is_exact(self, capsys, tmp_path):
+        # 5/6 of 6 attributes is 5; its float 0.8333333333333334 would round up to 6.
+        path = tmp_path / "k6.cxt"
+        path.write_text(dumps_cxt(make_contranominal(6)))
+        _, out, _ = run(capsys, "experiment", "structure", "--delta", "5/6", str(path))
+        assert json.loads(out)["concepts_adjusted"] == 32
+        code, out, _ = run(
+            capsys, "experiment", "knowledge", "--delta", "5/6", "--method", "adjusted",
+            "--repetitions", "2", "--seed", "1", str(path),
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["config"]["delta"] == 5 / 6
+        assert payload["concept_count"] == 32
+
     def test_knowledge_csv_summary(self, capsys, diagnosis_cxt):
         code, out, _ = run(
             capsys,

@@ -45,8 +45,11 @@ class TestCxt:
         assert err.value.line == 1
 
     def test_bad_sizes(self):
-        with pytest.raises(ContextParseError):
-            loads_cxt("B\n\nx\n1\n\nobj\nattr\nX\n")
+        # Each size is reported on its own line: objects 3, attributes 4.
+        for sizes, line in (("x\n1", 3), ("-1\n1", 3), ("1\nx", 4), ("1\n-1", 4)):
+            with pytest.raises(ContextParseError) as err:
+                loads_cxt(f"B\n\n{sizes}\n\nobj\nattr\nX\n")
+            assert err.value.line == line
 
     def test_short_row(self):
         text = "B\n\n1\n2\n\nobj\na\nb\nX\n"
@@ -99,6 +102,15 @@ class TestCsv:
         with pytest.raises(ContextParseError) as err:
             loads_csv(",p,q\na,1\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [("c,2,3\n", "row has 3 cells"), ("c,2\n", "bad cell value")],
+    )
+    def test_line_after_multiline_cell(self, tail, message):
+        with pytest.raises(ContextParseError, match=message) as err:
+            loads_csv(',p\n"a\nb",1\n' + tail)
+        assert err.value.line == 4
 
     def test_bad_cell(self):
         with pytest.raises(ContextParseError):

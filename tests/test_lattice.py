@@ -17,7 +17,6 @@ from contrascale.lattice import (
     ConceptSet,
     FormalConcept,
     Implication,
-    ImplicationBase,
     attribute_concept,
     canonical_base,
     close_under,
@@ -276,6 +275,16 @@ class TestCanonicalBase:
         sub = apply_selection(SubcontextSelection(ctx, tuple(range(14)), atts))
         assert len(canonical_base(sub)) == 11
 
+    def test_concept_count_matches_enumeration(self, seeded):
+        rng = seeded(415)
+        contexts = [medical_diagnosis()] + [
+            random_context(rng, 9, 9, min_objects=0, min_attributes=0) for _ in range(320)
+        ]
+        shapes = {(c.n_objects == 0, c.n_attributes == 0) for c in contexts}
+        assert {(True, False), (False, True)} <= shapes
+        for ctx in contexts:
+            assert canonical_base(ctx).concepts == len(enumerate_concepts(ctx))
+
     def test_premises_are_exactly_the_pseudo_intents(self, seeded):
         rng = seeded(410)
         for _ in range(25):
@@ -337,12 +346,10 @@ class TestBaseSizeMonotonicity:
 
 class TestRestrictBaseOnRemoval:
     def test_unrelated_attribute_changes_nothing(self):
-        base = ImplicationBase([Implication((0,), (1,))])
-        assert restrict_base_on_removal(base, 2) == [Implication((0,), (1,))]
+        assert restrict_base_on_removal([Implication((0,), (1,))], 2) == [Implication((0,), (1,))]
 
     def test_conclusion_only_implication_is_dropped(self):
-        base = ImplicationBase([Implication((0,), (1,))])
-        assert restrict_base_on_removal(base, 1) == []
+        assert restrict_base_on_removal([Implication((0,), (1,))], 1) == []
 
     def test_sound_and_complete_for_subcontext(self, seeded):
         rng = seeded(414)
@@ -356,7 +363,7 @@ class TestRestrictBaseOnRemoval:
             keep = tuple(m for m in range(n) if m not in removals)
             imps = list(base)
             for m in removals:
-                imps = restrict_base_on_removal(ImplicationBase(imps), m)
+                imps = restrict_base_on_removal(imps, m)
             for imp in imps:
                 assert is_valid_implication(ctx, imp)
                 assert not (set(imp.premise) | set(imp.conclusion)) & set(removals)
