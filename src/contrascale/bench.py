@@ -26,6 +26,7 @@ __all__ = [
     "run_knowledge_experiment",
     "run_structure_experiment",
     "benchmark_enumeration",
+    "experiment_result_dict",
     "experiment_result_json",
     "experiment_result_csv",
 ]
@@ -206,8 +207,9 @@ def run_structure_experiment(
     if samples < 1:
         raise ValueError("need at least one sampling seed")
     value = _delta_fraction(delta)
-    concepts_original, base_original = _structure_metrics(ctx, range(ctx.n_attributes))
+    # delta_adjust refuses a raw context before the original's base is walked.
     chosen = delta_adjust(ctx, value).attributes
+    concepts_original, base_original = _structure_metrics(ctx, range(ctx.n_attributes))
     concepts_adjusted, base_adjusted = _structure_metrics(ctx, chosen)
     sampled_concepts, sampled_bases = _sampled_structure_means(ctx, len(chosen), samples, seed)
     return {
@@ -268,8 +270,9 @@ def benchmark_enumeration(
 # -- serialization --------------------------------------------------------------
 
 
-def experiment_result_json(result: ExperimentResult) -> str:
-    payload = {
+def experiment_result_dict(result: ExperimentResult) -> dict:
+    """The JSON payload of one experiment arm, as plain data."""
+    return {
         "config": {
             "seed": result.config.seed,
             "delta": float(result.config.delta),
@@ -291,7 +294,10 @@ def experiment_result_json(result: ExperimentResult) -> str:
             for r in result.repetitions
         ],
     }
-    return json.dumps(payload, indent=2)
+
+
+def experiment_result_json(result: ExperimentResult) -> str:
+    return json.dumps(experiment_result_dict(result), indent=2)
 
 
 def experiment_result_csv(results: Sequence[ExperimentResult]) -> str:

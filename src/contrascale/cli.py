@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from . import __version__
 from .adjust import (
@@ -26,6 +28,7 @@ from .bench import (
     ExperimentConfig,
     benchmark_enumeration,
     experiment_result_csv,
+    experiment_result_dict,
     experiment_result_json,
     run_knowledge_experiment,
     run_structure_experiment,
@@ -52,8 +55,8 @@ from .scales import (
     count_report_json,
     count_scales,
     enumerate_scales,
-    scale_to_json_obj,
-    scale_to_line,
+    write_scale_lines,
+    write_scales_json,
 )
 
 USAGE_EXIT = 1
@@ -78,14 +81,21 @@ def _read_context(args: argparse.Namespace) -> FormalContext:
     return load_context(args.input, fmt)
 
 
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[Callable[[str], object]]:
+    """The ``write`` of the command's output: the ``-o`` file, else stdout."""
+    if getattr(args, "output", None):
+        with open(args.output, "w", encoding="utf-8") as fh:
+            yield fh.write
+    else:
+        yield sys.stdout.write
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as write:
+        write(text)
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -284,11 +294,11 @@ def cmd_scales(args: argparse.Namespace) -> int:
         _emit(args, count_report_json(count_scales(ctx, min_dimension=args.min_dim)))
         return 0
     stream = enumerate_scales(ctx, min_dimension=args.min_dim)
-    if args.pretty:
-        lines = [scale_to_line(s, ctx) for s in stream]
-        _emit(args, "\n".join(lines) if lines else "")
-    else:
-        _emit(args, json.dumps([scale_to_json_obj(s, ctx) for s in stream], indent=2))
+    with _output(args) as write:
+        if args.pretty:
+            write_scale_lines(stream, ctx, write)
+        else:
+            write_scales_json(stream, ctx, write)
     return 0
 
 
@@ -369,8 +379,7 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
     elif len(results) == 1:
         _emit(args, experiment_result_json(results[0]))
     else:
-        payload = [json.loads(experiment_result_json(r)) for r in results]
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, json.dumps([experiment_result_dict(r) for r in results], indent=2))
     return 0
 
 

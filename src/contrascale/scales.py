@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .context import (
     ClarificationMap,
@@ -44,7 +45,8 @@ __all__ = [
     "to_bipartite",
     "induced_matchings",
     "scale_to_line",
-    "scale_to_json_obj",
+    "write_scale_lines",
+    "write_scales_json",
     "count_report_json",
 ]
 
@@ -120,6 +122,39 @@ class ScaleFamily:
         classes = self.witness_indices()
         for choice in product(*classes):
             yield ContranominalScale(tuple(zip(choice, self.attributes)))
+
+    def is_valid_in(self, ctx: FormalContext) -> bool:
+        """Whether every choice of one object per class is a scale of ``ctx``.
+
+        The attributes must ascend strictly, every class must be nonempty,
+        and each object of class i must be incident with every attribute of
+        the family except ``attributes[i]``.  That last condition belongs to
+        each object alone, so it holds exactly when every scale of the family
+        passes ``ContranominalScale.is_valid_in``.  It also makes the classes
+        pairwise disjoint, which is checked all the same.
+        """
+        attrs, wits = self.attributes, self.witness_masks
+        if not attrs or len(wits) != len(attrs):
+            return False
+        if attrs[0] < 0 or attrs[-1] >= ctx.n_attributes:
+            return False
+        if any(a >= b for a, b in zip(attrs, attrs[1:])):
+            return False
+        rows = ctx.rows()
+        all_objects = ctx.all_objects_mask
+        family = indices_to_mask(attrs)
+        seen = 0
+        for m, w in zip(attrs, wits):
+            if w <= 0 or w & ~all_objects or w & seen:
+                return False
+            seen |= w
+            own = family & ~(1 << m)
+            while w:
+                low = w & -w
+                if rows[low.bit_length() - 1] & family != own:
+                    return False
+                w ^= low
+        return True
 
 
 @dataclass(frozen=True)
@@ -216,10 +251,11 @@ def enumerate_scales(
 ) -> Iterator[ContranominalScale]:
     """Stream every contranominal scale of ``ctx`` exactly once, in canonical order.
 
-    Each scale is yielded as its family is walked and is checked once with
-    ``is_valid_in``.  ``min_dimension=k`` walks the (k-1, k-1)-core, which
-    keeps every scale of dimension >= k, and skips smaller families; it is
-    opt-in because cores silently drop small scales.  Bron-Kerbosch
+    Each scale is yielded as its family is walked.  Every family is checked
+    once with ``ScaleFamily.is_valid_in``, which covers each of its scales.
+    ``min_dimension=k`` walks the (k-1, k-1)-core, which keeps every scale of
+    dimension >= k, and skips smaller families; it is opt-in because cores
+    silently drop small scales.  Bron-Kerbosch
     (``enumerate_bronkerbosch``) is the independent cross-check of this
     stream.  Scales of a clarified or reduced context map back to the
     original through ``scales_from_clarified`` and ``scales_from_reduced``.
@@ -239,9 +275,8 @@ def enumerate_scales(
                     for w in family.witness_masks
                 ),
             )
-        for scale in family.iter_scales():
-            assert scale.is_valid_in(ctx)
-            yield scale
+        assert family.is_valid_in(ctx)
+        yield from family.iter_scales()
 
 
 def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> ScaleCount:
@@ -506,11 +541,36 @@ def scale_to_line(scale: ContranominalScale, ctx: FormalContext) -> str:
     return f"dim={scale.dimension}; pairs={pairs}"
 
 
-def scale_to_json_obj(scale: ContranominalScale, ctx: FormalContext) -> dict:
-    return {
-        "dim": scale.dimension,
-        "pairs": [[ctx.objects[g], ctx.attributes[m]] for g, m in scale.pairs],
-    }
+def write_scale_lines(
+    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
+) -> None:
+    """Write one ``scale_to_line`` line per scale; a lone newline when there is none."""
+    empty = True
+    for scale in scales:
+        write(scale_to_line(scale, ctx) + "\n")
+        empty = False
+    if empty:
+        write("\n")
+
+
+def write_scales_json(
+    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
+) -> None:
+    """Write the scales as a JSON list, one chunk per scale, then a newline.
+
+    The text equals ``json.dumps([{"dim": k, "pairs": [[object, attribute],
+    ...]}, ...], indent=2)`` followed by a newline; each label is encoded
+    once.
+    """
+    # A pair [g, m] is object g's text followed by attribute m's.
+    objects = [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects]
+    attributes = [f'        {encode_basestring_ascii(m)}\n      ]' for m in ctx.attributes]
+    opening = "[\n"
+    for scale in scales:
+        pairs = ",\n".join([objects[g] + attributes[m] for g, m in scale.pairs])
+        write(f'{opening}  {{\n    "dim": {scale.dimension},\n    "pairs": [\n{pairs}\n    ]\n  }}')
+        opening = ",\n"
+    write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def count_report_json(count: ScaleCount) -> str:

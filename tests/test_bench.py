@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from contrascale import scales
-from contrascale.adjust import delta_adjust
+from contrascale import bench, scales
+from contrascale.adjust import NotPreprocessedError, delta_adjust
 from contrascale.bench import (
     ExperimentConfig,
     benchmark_enumeration,
@@ -206,6 +206,21 @@ class TestStructureExperiment:
         report = run_structure_experiment(medical_diagnosis(), 0, samples=2, seed=1)
         assert report["concepts_adjusted"] == 1
         assert report["base_adjusted"] == 0
+
+    def test_raw_context_refused_before_any_base_walk(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(bench, "canonical_base", lambda ctx: walked.append(ctx))
+        duplicated = FormalContext(["g", "h", "i"], ["a", "b"], [[1, 0], [1, 0], [0, 1]])
+        with pytest.raises(NotPreprocessedError):
+            run_structure_experiment(duplicated, "0.5")
+        assert walked == []
+
+    def test_payload_key_order(self):
+        report = run_structure_experiment(medical_diagnosis(), "0.5", samples=1)
+        assert list(report) == [
+            "delta", "concepts_original", "concepts_adjusted",
+            "base_original", "base_adjusted", "sampled_means",
+        ]
 
 
 class TestBenchmark:

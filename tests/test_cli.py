@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contrascale
 from contrascale.cli import main
 from contrascale.context import FormalContext, make_contranominal
 from contrascale.datasets import medical_diagnosis
-from contrascale.formats import dumps_cxt, loads_csv, loads_cxt
+from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
+from contrascale.scales import enumerate_scales, write_scales_json
+from conftest import random_context
 
 
 @pytest.fixture
@@ -113,6 +120,94 @@ class TestScales:
         assert json.loads(out_count)["total"] == len(json.loads(out_full))
 
 
+# Labels that JSON must escape or that are easy to get wrong.
+_AWKWARD_LABELS = ('"q"', "back\\slash", "ü☃", "ctl\x01", "", "tab\tend", "plain", "€")
+
+
+def _awkward_context(rng):
+    ctx = random_context(rng, 8, 8, min_objects=2, min_attributes=2)
+    objects = [f"{_AWKWARD_LABELS[g % 8]}{'#' * (g // 8)}" for g in range(ctx.n_objects)]
+    attributes = [_AWKWARD_LABELS[-1 - m] for m in range(ctx.n_attributes)]
+    return FormalContext.from_masks(objects, attributes, ctx.rows())
+
+
+def _reference_json(ctx, **kwargs):
+    """The ``scales`` output as one ``json.dumps`` of the whole list."""
+    payload = [
+        {"dim": s.dimension, "pairs": [[ctx.objects[g], ctx.attributes[m]] for g, m in s.pairs]}
+        for s in enumerate_scales(ctx, **kwargs)
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestScaleStream:
+    def test_writer_matches_json_dumps(self, seeded):
+        rng = seeded(401)
+        for _ in range(30):
+            ctx = _awkward_context(rng)
+            chunks = []
+            write_scales_json(enumerate_scales(ctx), ctx, chunks.append)
+            assert "".join(chunks) == _reference_json(ctx)
+            # One chunk per scale, then the closing one.
+            assert len(chunks) == len(list(enumerate_scales(ctx))) + 1
+
+    def test_cli_matches_json_dumps(self, capsys, tmp_path, seeded):
+        rng = seeded(402)
+        path = tmp_path / "awkward.csv"
+        for _ in range(10):
+            ctx = _awkward_context(rng)
+            path.write_text(dumps_csv(ctx), encoding="utf-8")
+            code, out, _ = run(capsys, "scales", str(path))
+            assert code == 0
+            assert out == _reference_json(ctx)
+
+    def test_diagnosis_matches_json_dumps(self, capsys, diagnosis_cxt):
+        _, out, _ = run(capsys, "scales", diagnosis_cxt)
+        assert out == _reference_json(medical_diagnosis())
+
+    def test_min_dim(self, capsys, diagnosis_cxt):
+        _, out, _ = run(capsys, "scales", "--min-dim", "3", diagnosis_cxt)
+        assert out == _reference_json(medical_diagnosis(), min_dimension=3)
+        _, full, _ = run(capsys, "scales", diagnosis_cxt)
+        assert json.loads(out) == [s for s in json.loads(full) if s["dim"] >= 3]
+
+    def test_empty_stream(self, capsys, tmp_path):
+        path = tmp_path / "full.cxt"
+        path.write_text(dumps_cxt(FormalContext.from_masks(["g", "h"], ["a", "b"], [3, 3])))
+        assert run(capsys, "scales", str(path))[1] == "[]\n"
+        assert run(capsys, "scales", "--pretty", str(path))[1] == "\n"
+
+    def test_pretty_lines_end_with_newline(self, capsys, k4_cxt):
+        _, out, _ = run(capsys, "scales", "--pretty", k4_cxt)
+        assert out.endswith(")\n") and out.count("\n") == 15
+
+    @pytest.mark.parametrize("flags", [[], ["--pretty"], ["--min-dim", "2"]])
+    def test_output_file_matches_stdout(self, capsys, tmp_path, diagnosis_cxt, flags):
+        _, out, _ = run(capsys, "scales", *flags, diagnosis_cxt)
+        target = tmp_path / "scales.out"
+        code, printed, _ = run(capsys, "scales", *flags, diagnosis_cxt, "-o", str(target))
+        assert code == 0 and printed == ""
+        assert target.read_bytes() == out.encode()
+
+    def test_output_file_not_created_for_bad_input(self, capsys, tmp_path):
+        target = tmp_path / "scales.out"
+        code, _, _ = run(capsys, "scales", str(tmp_path / "missing.cxt"), "-o", str(target))
+        assert code == 2
+        assert not target.exists()
+
+    def test_subprocess_pipe(self, capsys, tmp_path, seeded):
+        ctx = _awkward_context(seeded(403))
+        path = tmp_path / "awkward.csv"
+        path.write_text(dumps_csv(ctx), encoding="utf-8")
+        src = str(Path(contrascale.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "contrascale.cli", "scales", str(path)],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        assert done.stdout == _reference_json(ctx).encode()
+
+
 class TestInfluenceAndAdjust:
     def test_adjust_half_selection(self, capsys, diagnosis_cxt):
         code, out, _ = run(capsys, "adjust", "--delta", "0.5", diagnosis_cxt)
@@ -190,6 +285,19 @@ class TestExperiments:
         payload = json.loads(out)
         assert [p["config"]["method"] for p in payload] == ["adjusted", "sampled"]
         assert all(len(p["repetitions"]) == 5 for p in payload)
+
+    def test_knowledge_both_arms_encode_each_arm_as_alone(self, capsys, diagnosis_cxt):
+        _, out, _ = run(
+            capsys, "experiment", "knowledge", "--repetitions", "4", "--seed", "3", diagnosis_cxt
+        )
+        arms = []
+        for method in ("adjusted", "sampled"):
+            _, alone, _ = run(
+                capsys, "experiment", "knowledge", "--repetitions", "4", "--seed", "3",
+                "--method", method, diagnosis_cxt,
+            )
+            arms.append(json.loads(alone))
+        assert out == json.dumps(arms, indent=2) + "\n"
 
     def test_knowledge_delta_is_exact(self, capsys, tmp_path):
         # 5/6 of 6 attributes is 5; its float 0.8333333333333334 would round up to 6.

@@ -14,6 +14,7 @@ from contrascale.context import (
 from contrascale.scales import (
     BipartiteGraph,
     ContranominalScale,
+    ScaleFamily,
     conflict_graph,
     count_scales,
     enumerate_bronkerbosch,
@@ -28,7 +29,7 @@ from contrascale.scales import (
     to_bipartite,
 )
 from contrascale.datasets import medical_diagnosis
-from conftest import inject_duplicates, random_context
+from conftest import context_from_rows, inject_duplicates, random_context
 
 
 def pairs_multiset(stream):
@@ -164,6 +165,80 @@ class TestOracleEquivalence:
         assert list(enumerate_scales(diag)) == list(enumerate_bronkerbosch(diag))
 
 
+def _every_scale_valid(family, ctx):
+    return all(s.is_valid_in(ctx) for s in family.iter_scales())
+
+
+class TestFamilyCheck:
+    # g0 and g1 miss m0, g2 misses m1, g3 misses m2: one family, two scales.
+    CTX = context_from_rows(["011", "011", "101", "110"])
+    VALID = ScaleFamily((0, 1, 2), (0b0011, 0b0100, 0b1000))
+
+    def test_walked_family_is_valid(self):
+        assert self.VALID in list(iter_scale_families(self.CTX))
+        assert self.VALID.is_valid_in(self.CTX)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param(ScaleFamily((0, 1, 2), (0b0001, 0b0110, 0b1000)), id="moved-object"),
+            pytest.param(ScaleFamily((0, 1, 2), (0b0011, 0b0110, 0b1000)), id="shared-object"),
+            pytest.param(ScaleFamily((0, 1, 2), (0b0011, 0, 0b1000)), id="empty-class"),
+            pytest.param(ScaleFamily((1, 0, 2), (0b0100, 0b0011, 0b1000)), id="unsorted-attributes"),
+            pytest.param(ScaleFamily((0, 1, 3), (0b0011, 0b0100, 0b1000)), id="attribute-out-of-range"),
+            pytest.param(ScaleFamily((0, 1, 2), (0b10011, 0b0100, 0b1000)), id="object-out-of-range"),
+            pytest.param(ScaleFamily((), ()), id="no-attributes"),
+        ],
+    )
+    def test_corrupted_family_fails(self, family):
+        assert not family.is_valid_in(self.CTX)
+
+    def test_equals_every_scale_check_on_walked_families(self, seeded):
+        rng = seeded(312)
+        for _ in range(25):
+            ctx = random_context(rng, 7, 7)
+            for family in iter_scale_families(ctx):
+                assert family.is_valid_in(ctx) == _every_scale_valid(family, ctx)
+
+    def test_equals_every_scale_check_on_perturbed_families(self, seeded):
+        # Classes redrawn at random, objects moved or shared between
+        # classes, two attributes swapped: the family check agrees
+        # with checking each scale whenever every class is nonempty.
+        rng = seeded(313)
+        verdicts = set()
+        for _ in range(25):
+            ctx = random_context(rng, 7, 7)
+            n = ctx.n_objects
+            for family in iter_scale_families(ctx):
+                attrs, wits = list(family.attributes), list(family.witness_masks)
+                k = len(attrs)
+                i, j = rng.randrange(k), rng.randrange(k)
+                g = 1 << rng.randrange(n)
+                redrawn = [w & (1 + rng.randrange((1 << n) - 1)) or w for w in wits]
+                moved = wits.copy()
+                moved[i] &= ~g
+                moved[j] |= g
+                swapped_attrs = attrs.copy()
+                swapped_attrs[i], swapped_attrs[j] = attrs[j], attrs[i]
+                for candidate in (
+                    ScaleFamily(tuple(attrs), tuple(redrawn)),
+                    ScaleFamily(tuple(attrs), tuple(moved)),
+                    ScaleFamily(tuple(swapped_attrs), tuple(wits)),
+                    ScaleFamily(tuple(attrs), tuple(1 + rng.randrange((1 << n) - 1) for _ in wits)),
+                ):
+                    if all(candidate.witness_masks):
+                        verdict = candidate.is_valid_in(ctx)
+                        assert verdict == _every_scale_valid(candidate, ctx)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_stream_asserts_the_family_check(self, monkeypatch):
+        corrupted = ScaleFamily((0, 1, 2), (0b0011, 0b0110, 0b1000))
+        monkeypatch.setattr(scales, "iter_scale_families", lambda ctx: iter([corrupted]))
+        with pytest.raises(AssertionError):
+            list(enumerate_scales(self.CTX))
+
+
 class TestMaxDimension:
     def test_contranominal(self):
         for k in (1, 2, 4):
@@ -189,17 +264,21 @@ class TestCorePruning:
                     d: c for d, c in full.items() if d >= k
                 }
 
-    def test_core_stream_checks_each_scale_once(self, monkeypatch):
+    def test_core_stream_checks_each_family_once(self, monkeypatch):
         checks = []
-        is_valid_in = ContranominalScale.is_valid_in
+        is_valid_in = ScaleFamily.is_valid_in
 
-        def counted(scale, ctx):
-            checks.append(scale)
-            return is_valid_in(scale, ctx)
+        def counted(family, ctx):
+            checks.append(family)
+            return is_valid_in(family, ctx)
 
-        monkeypatch.setattr(ContranominalScale, "is_valid_in", counted)
+        monkeypatch.setattr(ScaleFamily, "is_valid_in", counted)
         streamed = list(enumerate_scales(medical_diagnosis(), min_dimension=2))
-        assert streamed and checks == streamed
+        # One check per yielded family, made on the re-indexed family whose
+        # scales are exactly the ones streamed.
+        assert streamed
+        assert len({f.attributes for f in checks}) == len(checks)
+        assert [s for f in checks for s in f.iter_scales()] == streamed
 
 
 class TestReconstruction:
