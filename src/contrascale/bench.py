@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .adjust import delta_adjust, _delta_fraction
-from .context import FormalContext, SubcontextSelection, apply_selection
+from .context import FormalContext, SubcontextSelection, apply_selection, indices_to_mask
 from .lattice import canonical_base
 from .rng import SplitMix64, derive_seed
 from .scales import ALGORITHMS, _bronkerbosch_scales, iter_scale_families
@@ -97,24 +97,22 @@ def _split_indices(
 
 
 def decision_tree_accuracy(
-    data: Sequence[Sequence[int]],
+    ctx: FormalContext,
     features: Iterable[int],
     label: int,
     split_fraction: float,
     seed: int,
 ) -> float:
-    """Held-out accuracy of a tree predicting one binary column from others."""
+    """Held-out accuracy of a tree predicting one attribute of ``ctx`` from others."""
     features = tuple(features)
     if label in features:
-        raise ValueError("label column must not be among the features")
-    if len(data) < 2:
-        raise ValueError("need at least 2 rows to split")
-    train, test = _split_indices(len(data), split_fraction, seed)
-    labels = [int(bool(row[label])) for row in data]
-    tree = train_tree(
-        [data[i] for i in train], [labels[i] for i in train], features
-    )
-    return tree.accuracy([data[i] for i in test], [labels[i] for i in test])
+        raise ValueError("label attribute must not be among the features")
+    if ctx.n_objects < 2:
+        raise ValueError("need at least 2 objects to split")
+    train, test = _split_indices(ctx.n_objects, split_fraction, seed)
+    cols = ctx.cols()
+    tree = train_tree(cols, cols[label], indices_to_mask(train), features)
+    return tree.accuracy(cols, cols[label], indices_to_mask(test))
 
 
 def _structure_metrics(ctx: FormalContext, attributes: Sequence[int]) -> tuple[int, int]:
@@ -151,7 +149,6 @@ def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> Exper
     if ctx.n_attributes < 2:
         raise ValueError("need at least 2 attributes")
     delta = _delta_fraction(cfg.delta)
-    rows = [tuple(int(v) for v in row) for row in ctx.incidence_rows()]
     selection = delta_adjust(ctx, delta).attributes
     records = []
     for rep in range(cfg.repetitions):
@@ -170,7 +167,7 @@ def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> Exper
         if not features:
             raise ValueError("the feature set is empty; use a larger delta")
         accuracy = decision_tree_accuracy(
-            rows,
+            ctx,
             features,
             label,
             cfg.split_fraction,

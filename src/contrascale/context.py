@@ -108,6 +108,9 @@ class FormalContext:
     ) -> "FormalContext":
         """Build from per-object attribute bitmasks (bit ``m`` = attribute m)."""
         n = len(attributes)
+        for g, mask in enumerate(rows):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"row {g} mask {mask} is outside [0, 2**{n}) for {n} attributes")
         incidence = [[(mask >> m) & 1 for m in range(n)] for mask in rows]
         return cls(objects, attributes, incidence)
 

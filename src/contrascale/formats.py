@@ -122,6 +122,10 @@ def loads_cxt(text: str) -> FormalContext:
 
 
 def dumps_cxt(ctx: FormalContext) -> str:
+    # CXT holds one label per line, so a label with a line break cannot be read back.
+    for label in ctx.objects + ctx.attributes:
+        if "\n" in label or "\r" in label:
+            raise ValueError(f"label {label!r} contains a line break, which CXT cannot hold")
     out = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)

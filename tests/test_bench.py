@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from contrascale.bench import (
     run_structure_experiment,
     sample_attributes,
 )
+from contrascale.cli import main
 from contrascale.context import FormalContext, make_contranominal
 from contrascale.datasets import medical_diagnosis
+from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 from contrascale.tree import train_tree
 
@@ -87,44 +90,89 @@ def independent_tree_accuracy(rows, features, label, split_fraction, seed):
     return sum(predict(root, rows[i]) == rows[i][label] for i in test) / len(test)
 
 
+def _context(rows):
+    return FormalContext(
+        [f"g{i}" for i in range(len(rows))],
+        [f"m{j}" for j in range(len(rows[0]))],
+        rows,
+    )
+
+
+def _tie_heavy_rows(rng):
+    """A small dense table whose duplicated rows and columns make equal splits."""
+    n_rows = 2 + rng.randrange(59)
+    n_cols = 2 + rng.randrange(12)
+    threshold = (500, 700, 900)[rng.randrange(3)]
+    pool = [
+        [int(rng.randrange(1000) < threshold) for _ in range(n_cols)]
+        for _ in range(1 + rng.randrange(6))
+    ]
+    rows = [list(pool[rng.randrange(len(pool))]) for _ in range(n_rows)]
+    for _ in range(rng.randrange(3)):
+        source, target = rng.randrange(n_cols), rng.randrange(n_cols)
+        for row in rows:
+            row[target] = row[source]
+    return [tuple(row) for row in rows]
+
+
 class TestDecisionTree:
     def test_constant_label_is_perfect(self):
         rows = [(1, 0, 1), (0, 1, 1), (1, 1, 1)]
-        assert decision_tree_accuracy(rows, [0, 1], 2, 0.5, 3) == 1.0
+        assert decision_tree_accuracy(_context(rows), [0, 1], 2, 0.5, 3) == 1.0
 
     def test_label_equal_to_feature_is_perfect(self, seeded):
         rng = seeded(601)
         rows = [
             (v := rng.randrange(2), rng.randrange(2), v) for _ in range(24)
         ]
-        assert decision_tree_accuracy(rows, [0, 1], 2, 0.5, 9) == 1.0
+        assert decision_tree_accuracy(_context(rows), [0, 1], 2, 0.5, 9) == 1.0
 
     def test_label_among_features_rejected(self):
         rows = [(0, 1), (1, 0)]
         with pytest.raises(ValueError):
-            decision_tree_accuracy(rows, [0, 1], 1, 0.5, 0)
+            decision_tree_accuracy(_context(rows), [0, 1], 1, 0.5, 0)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
-            decision_tree_accuracy([(0, 1)], [0], 1, 0.5, 0)
+            decision_tree_accuracy(_context([(0, 1)]), [0], 1, 0.5, 0)
 
     def test_matches_independent_reimplementation(self, seeded):
         rng = seeded(602)
+        cases = []
         for trial in range(10):
             rows = [
                 tuple(rng.randrange(2) for _ in range(8)) for _ in range(50)
             ]
             label = rng.randrange(8)
             features = [f for f in range(8) if f != label]
+            cases.append((rows, features, label, 0.5))
+        # Diagnosis splits: a random attribute or a column of random bits as the
+        # label, predicted from a random nonempty set of the other attributes.
+        diagnosis = [tuple(int(v) for v in row) for row in medical_diagnosis().incidence_rows()]
+        for trial in range(300):
+            rows = [row + (rng.randrange(2),) for row in diagnosis]
+            label = rng.randrange(len(rows[0]))
+            others = [f for f in range(len(rows[0]) - 1) if f != label]
+            picks = rng.sample_indices(len(others), 1 + rng.randrange(len(others)))
+            features = sorted(others[i] for i in picks)
+            cases.append((rows, features, label, (0.5, 0.7)[trial % 2]))
+        for trial in range(600):
+            rows = _tie_heavy_rows(rng)
+            label = rng.randrange(len(rows[0]))
+            features = [f for f in range(len(rows[0])) if f != label]
+            cases.append((rows, features, label, (0.5, 0.7)[trial % 2]))
+        for trial, (rows, features, label, fraction) in enumerate(cases):
             seed = derive_seed(1000, trial)
-            mine = decision_tree_accuracy(rows, features, label, 0.5, seed)
-            reference = independent_tree_accuracy(rows, features, label, 0.5, seed)
-            assert mine == pytest.approx(reference)
+            mine = decision_tree_accuracy(_context(rows), features, label, fraction, seed)
+            reference = independent_tree_accuracy(rows, features, label, fraction, seed)
+            assert mine == reference, (trial, rows, features, label)
 
     def test_tree_handles_unseen_combinations(self):
-        rows = [(0, 0, 0), (1, 1, 1)]
-        tree = train_tree(rows, [0, 1], [0, 1])
-        assert tree.predict((0, 1, 0)) in (0, 1)
+        ctx = _context([(0, 0, 0), (1, 1, 1), (0, 1, 0)])
+        cols = ctx.cols()
+        tree = train_tree(cols, cols[2], 0b011, [0, 1])
+        # Object 2 has the combination (0, 1), which no training object has.
+        assert tree.accuracy(cols, cols[2], 0b100) in (0.0, 1.0)
 
 
 class TestKnowledgeExperiment:
@@ -178,6 +226,24 @@ class TestKnowledgeExperiment:
             ExperimentConfig(seed=0, split_fraction=1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(seed=0, repetitions=0)
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "023e776ac9907cf9bbe556c39e38594c8f17c4f5202337ab0033109633e99510"),
+            (2, "fc11dc9dbb6eaf5247af45c0e13e8a1d2703ed2394fdddfb07f0a5e4e18b7db4"),
+            (3, "19faa2abc393ed17bc2691163b3bb306d0eb3e519a98df8744969fb8f5ab5b38"),
+        ],
+    )
+    def test_cli_output_bytes_are_pinned(self, capsys, tmp_path, seed, digest):
+        # sha256 of `experiment knowledge --method both --repetitions 50` on the
+        # diagnosis context: any change to a split, a tie rule or a vote moves it.
+        path = tmp_path / "diagnosis.cxt"
+        path.write_text(dumps_cxt(medical_diagnosis()))
+        argv = ["experiment", "knowledge", "--method", "both", "--repetitions", "50"]
+        assert main(argv + ["--seed", str(seed), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_structure_metrics_match_direct_computation(self):
         ctx = medical_diagnosis()

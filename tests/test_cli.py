@@ -61,6 +61,27 @@ class TestConvert:
         assert code == 0
         assert loads_cxt(out) == medical_diagnosis()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "--to", "cxt"],
+            ["preprocess", "--to", "cxt"],
+            ["core", "-p", "1", "-q", "1", "--to", "cxt"],
+            ["adjust", "--delta", "1", "--to", "cxt"],
+        ],
+        ids=["convert", "preprocess", "core", "adjust"],
+    )
+    def test_cxt_label_with_line_break_is_data_error(self, capsys, tmp_path, argv):
+        csv_path = tmp_path / "nl.csv"
+        csv_path.write_text(',p,q\n"a\nb",1,0\nc,0,1\n')
+        out_path = tmp_path / "nl.cxt"
+        code, _, err = run(capsys, *argv, str(csv_path), "-o", str(out_path))
+        assert code == 2
+        assert "'a\\nb'" in err
+        assert not out_path.exists()
+        code, _, _ = run(capsys, "convert", "--to", "csv", str(csv_path))
+        assert code == 0
+
 
 class TestPreprocess:
     def test_clarify_reduce_with_trace(self, capsys, tmp_path):

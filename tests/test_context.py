@@ -44,6 +44,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FormalContext(["a", "b"], ["x"], [[1]])
 
+    def test_from_masks_rejects_out_of_range_masks(self):
+        for objects, attributes, rows, bad in (
+            (["g"], ["m"], [0b10], 0),
+            (["g", "h"], ["m", "n"], [0b01, -1], 1),
+            (["g", "h"], [], [0, 1], 1),
+        ):
+            with pytest.raises(ValueError, match=f"row {bad} "):
+                FormalContext.from_masks(objects, attributes, rows)
+        assert FormalContext.from_masks(["g", "h"], ["m", "n"], [0b11, 0]).rows() == (0b11, 0)
+
     def test_make_contranominal(self):
         one = make_contranominal(1)
         assert one.n_objects == one.n_attributes == 1

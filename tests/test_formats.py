@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -56,6 +57,16 @@ class TestCxt:
         with pytest.raises(ContextParseError) as err:
             loads_cxt(text)
         assert err.value.line == 9
+
+    def test_label_with_line_break_is_refused(self):
+        for objects, attributes, bad in (
+            (["a\nb", "c"], ["p", "q"], "a\nb"),
+            (["a", "c"], ["p", "q\r"], "q\r"),
+            (["a", "c"], ["p\r\nq", "q"], "p\r\nq"),
+        ):
+            ctx = FormalContext.from_masks(objects, attributes, [0b01, 0b10])
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                dumps_cxt(ctx)
 
     def test_bad_incidence_character(self):
         with pytest.raises(ContextParseError):
