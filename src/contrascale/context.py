@@ -65,16 +65,7 @@ class FormalContext:
         attributes: Sequence[str],
         incidence: Sequence[Sequence[int | bool]],
     ):
-        self.objects: tuple[str, ...] = tuple(str(o) for o in objects)
-        self.attributes: tuple[str, ...] = tuple(str(a) for a in attributes)
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("object labels must be pairwise distinct")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError("attribute labels must be pairwise distinct")
-        if len(incidence) != len(self.objects):
-            raise ValueError(
-                f"incidence has {len(incidence)} rows, expected {len(self.objects)}"
-            )
+        self._set_labels(objects, attributes, len(incidence))
         rows = []
         for g, row in enumerate(incidence):
             cells = list(row)
@@ -88,6 +79,38 @@ class FormalContext:
                 if cell:
                     mask |= 1 << m
             rows.append(mask)
+        self._set_rows(rows)
+
+    @classmethod
+    def from_masks(
+        cls,
+        objects: Sequence[str],
+        attributes: Sequence[str],
+        rows: Sequence[int],
+    ) -> "FormalContext":
+        """Build from per-object attribute bitmasks (bit ``m`` = attribute m)."""
+        ctx = cls.__new__(cls)
+        ctx._set_labels(objects, attributes, len(rows))
+        n = len(ctx.attributes)
+        for g, mask in enumerate(rows):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"row {g} mask {mask} is outside [0, 2**{n}) for {n} attributes")
+        ctx._set_rows(rows)
+        return ctx
+
+    def _set_labels(
+        self, objects: Sequence[str], attributes: Sequence[str], n_rows: int
+    ) -> None:
+        self.objects: tuple[str, ...] = tuple(str(o) for o in objects)
+        self.attributes: tuple[str, ...] = tuple(str(a) for a in attributes)
+        if len(set(self.objects)) != len(self.objects):
+            raise ValueError("object labels must be pairwise distinct")
+        if len(set(self.attributes)) != len(self.attributes):
+            raise ValueError("attribute labels must be pairwise distinct")
+        if n_rows != len(self.objects):
+            raise ValueError(f"incidence has {n_rows} rows, expected {len(self.objects)}")
+
+    def _set_rows(self, rows: Iterable[int]) -> None:
         self._rows: tuple[int, ...] = tuple(rows)
         cols = [0] * len(self.attributes)
         for g, row_mask in enumerate(self._rows):
@@ -98,21 +121,6 @@ class FormalContext:
                 cols[low.bit_length() - 1] |= bit
                 rest ^= low
         self._cols: tuple[int, ...] = tuple(cols)
-
-    @classmethod
-    def from_masks(
-        cls,
-        objects: Sequence[str],
-        attributes: Sequence[str],
-        rows: Sequence[int],
-    ) -> "FormalContext":
-        """Build from per-object attribute bitmasks (bit ``m`` = attribute m)."""
-        n = len(attributes)
-        for g, mask in enumerate(rows):
-            if mask < 0 or mask >> n:
-                raise ValueError(f"row {g} mask {mask} is outside [0, 2**{n}) for {n} attributes")
-        incidence = [[(mask >> m) & 1 for m in range(n)] for mask in rows]
-        return cls(objects, attributes, incidence)
 
     # -- size and lookups ------------------------------------------------
 
@@ -421,11 +429,13 @@ def pq_core(ctx: FormalContext, p: int, q: int) -> SubcontextSelection:
 def apply_selection(sel: SubcontextSelection) -> FormalContext:
     """Materialize the selected subcontext, preserving relative orders."""
     parent = sel.parent
+    attributes = tuple(enumerate(sel.attribute_indices))
     rows = []
     for g in sel.object_indices:
+        row = parent.row(g)
         mask = 0
-        for j, m in enumerate(sel.attribute_indices):
-            if parent.incident(g, m):
+        for j, m in attributes:
+            if row >> m & 1:
                 mask |= 1 << j
         rows.append(mask)
     return FormalContext.from_masks(

@@ -121,11 +121,15 @@ def loads_cxt(text: str) -> FormalContext:
         raise ContextParseError(base + 1, str(exc)) from None
 
 
+def _refuse_labels(ctx: FormalContext, chars: str, why: str) -> None:
+    for label in ctx.objects + ctx.attributes:
+        if any(ch in label for ch in chars):
+            raise ValueError(f"label {label!r} contains {why}")
+
+
 def dumps_cxt(ctx: FormalContext) -> str:
     # CXT holds one label per line, so a label with a line break cannot be read back.
-    for label in ctx.objects + ctx.attributes:
-        if "\n" in label or "\r" in label:
-            raise ValueError(f"label {label!r} contains a line break, which CXT cannot hold")
+    _refuse_labels(ctx, "\n\r", "a line break, which CXT cannot hold")
     out = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
@@ -182,6 +186,9 @@ def loads_csv(text: str) -> FormalContext:
 
 
 def dumps_csv(ctx: FormalContext) -> str:
+    # ``loads_csv`` reads with universal newlines, which turn every ``\r`` into
+    # ``\n`` (or drop it at the end of a line), so such a label cannot be read back.
+    _refuse_labels(ctx, "\r", "a carriage return, which CSV cannot hold")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(ctx.attributes))

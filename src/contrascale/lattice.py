@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext, indices_to_mask, mask_to_indices
@@ -83,13 +84,18 @@ def _concept_from_extent_mask(ctx: FormalContext, extent_mask: int) -> FormalCon
 def enumerate_concepts(ctx: FormalContext) -> ConceptSet:
     """All formal concepts, via lectic closure stepping over intents."""
     n = ctx.n_attributes
+
+    def close(mask: int, forbidden: int) -> int | None:
+        closed = ctx.closure_mask(mask)
+        return None if closed & forbidden else closed
+
     concepts = []
     intent = ctx.closure_mask(0)
     while True:
         concepts.append(
             FormalConcept(mask_to_indices(ctx.extent_mask(intent)), mask_to_indices(intent))
         )
-        nxt = _next_closure(intent, n, ctx.closure_mask)
+        nxt = _next_closure(intent, n, close)
         if nxt is None:
             break
         intent = nxt
@@ -97,14 +103,19 @@ def enumerate_concepts(ctx: FormalContext) -> ConceptSet:
 
 
 def _next_closure(current: int, n: int, close) -> int | None:
-    """Smallest closed set lectically above ``current`` under ``close``."""
+    """Smallest closed set lectically above ``current`` under ``close``.
+
+    ``close(mask, forbidden)`` returns the closure of ``mask``, or ``None``
+    once it meets ``forbidden``: the attributes below the candidate's
+    position that ``current`` lacks, which fail the canonicity test.
+    """
     for i in reversed(range(n)):
         bit = 1 << i
         if current & bit:
             continue
         below = bit - 1
-        candidate = close((current & below) | bit)
-        if candidate & below & ~current == 0:
+        candidate = close((current & below) | bit, below & ~current)
+        if candidate is not None:
             return candidate
     return None
 
@@ -239,13 +250,20 @@ class ImplicationBase:
         return iter(self.implications)
 
 
-def _close_mask(rules: Sequence[tuple[int, int]], mask: int) -> int:
+def _close_mask(
+    rules: Sequence[tuple[int, int]], mask: int, forbidden: int = 0
+) -> int | None:
+    """Closure of ``mask`` under ``rules``, or ``None`` once it meets ``forbidden``."""
+    if mask & forbidden:
+        return None
     changed = True
     while changed:
         changed = False
         for premise, conclusion in rules:
             if premise & mask == premise and conclusion | mask != mask:
                 mask |= conclusion
+                if mask & forbidden:
+                    return None
                 changed = True
     return mask
 
@@ -280,6 +298,7 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
     found: list[Implication] = []
     concepts = 0
     current = 0
+    close = partial(_close_mask, rules)
     while True:
         closed = ctx.closure_mask(current)
         if closed == current:
@@ -289,7 +308,7 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
             found.append(
                 Implication(mask_to_indices(current), mask_to_indices(closed & ~current))
             )
-        nxt = _next_closure(current, n, lambda mask: _close_mask(rules, mask))
+        nxt = _next_closure(current, n, close)
         if nxt is None:
             break
         current = nxt

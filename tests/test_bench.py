@@ -16,11 +16,12 @@ from contrascale.bench import (
     sample_attributes,
 )
 from contrascale.cli import main
-from contrascale.context import FormalContext, make_contranominal
+from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 from contrascale.tree import train_tree
+from conftest import random_context
 
 
 class TestSampling:
@@ -287,6 +288,31 @@ class TestStructureExperiment:
             "delta", "concepts_original", "concepts_adjusted",
             "base_original", "base_adjusted", "sampled_means",
         ]
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            ("diagnosis", "92f16b7b1ccd41ea86d0e96a63cd298125c5ddae25d12d569332ef4d85264297"),
+            (0, "69665e856d94c6f6ca67df8bc2a70e14abf154c53c46378095c6e253013f0b16"),
+            (1, "a5c2c5098164e5185076442fc9033463e094ae0c1269fbf9b1b5e874e14ae9e4"),
+            (2, "3e26f852e5a35012bc7ad3962e93823eb5b98187877426e48d7c6ef00f62c2af"),
+        ],
+    )
+    def test_cli_output_bytes_are_pinned(self, capsys, tmp_path, source, digest):
+        # sha256 of `experiment structure --delta 0.5` on the diagnosis context
+        # and on clarified, reduced 42x15 contexts of density 0.7: any change to
+        # a concept count, a base size or a sample moves it.
+        if source == "diagnosis":
+            ctx = medical_diagnosis()
+        else:
+            rng = SplitMix64(derive_seed(0xC0FFEE, 17, source))
+            raw = random_context(rng, 42, 15, (0.7,), min_objects=42, min_attributes=15)
+            ctx = reduce_context(clarify(raw)[0])[0]
+        path = tmp_path / "input.cxt"
+        path.write_text(dumps_cxt(ctx))
+        assert main(["experiment", "structure", "--delta", "0.5", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBenchmark:

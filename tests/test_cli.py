@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import contrascale
+from contrascale import cli
 from contrascale.cli import main
 from contrascale.context import FormalContext, make_contranominal
 from contrascale.datasets import medical_diagnosis
@@ -81,6 +82,19 @@ class TestConvert:
         assert not out_path.exists()
         code, _, _ = run(capsys, "convert", "--to", "csv", str(csv_path))
         assert code == 0
+
+    def test_csv_label_with_carriage_return_is_data_error(self, capsys, tmp_path, monkeypatch):
+        # Neither reader yields a label with "\r" (both read universal newlines),
+        # so the context comes straight from the reader the command calls.
+        ctx = FormalContext.from_masks(["a", "c"], ["p", "q\r"], [1, 2])
+        monkeypatch.setattr(cli, "load_context", lambda source, fmt: ctx)
+        out_path = tmp_path / "cr.csv"
+        code, _, err = run(
+            capsys, "convert", "--to", "csv", str(tmp_path / "in.cxt"), "-o", str(out_path)
+        )
+        assert code == 2
+        assert "'q\\r'" in err
+        assert not out_path.exists()
 
 
 class TestPreprocess:

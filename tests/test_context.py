@@ -54,6 +54,25 @@ class TestConstruction:
                 FormalContext.from_masks(objects, attributes, rows)
         assert FormalContext.from_masks(["g", "h"], ["m", "n"], [0b11, 0]).rows() == (0b11, 0)
 
+    def test_from_masks_matches_the_cell_constructor(self, seeded):
+        rng = seeded(130)
+        contexts = [random_context(rng, 9, 9, min_objects=0, min_attributes=0) for _ in range(100)]
+        contexts += [
+            FormalContext([], [], []),
+            FormalContext([], ["x", "y", "z"], []),
+            FormalContext(["a", "b", "c"], [], [[], [], []]),
+        ]
+        for ctx in contexts:
+            cells = [list(r) for r in ctx.incidence_rows()]
+            masks = [sum(1 << m for m, cell in enumerate(row) if cell) for row in cells]
+            built = FormalContext.from_masks(ctx.objects, ctx.attributes, masks)
+            assert built == ctx
+            assert built.rows() == ctx.rows() == tuple(masks)
+            assert built.cols() == ctx.cols() == tuple(
+                sum(1 << g for g, row in enumerate(cells) if row[m])
+                for m in range(ctx.n_attributes)
+            )
+
     def test_make_contranominal(self):
         one = make_contranominal(1)
         assert one.n_objects == one.n_attributes == 1

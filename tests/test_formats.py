@@ -123,6 +123,19 @@ class TestCsv:
             loads_csv(',p\n"a\nb",1\n' + tail)
         assert err.value.line == 4
 
+    def test_label_with_carriage_return_is_refused(self):
+        for objects, attributes, bad in (
+            (["a", "c"], ["p", "q\r"], "q\r"),
+            (["a\rb", "c"], ["p", "q"], "a\rb"),
+            (["a", "c"], ["p\r\nq", "q"], "p\r\nq"),
+        ):
+            ctx = FormalContext.from_masks(objects, attributes, [0b01, 0b10])
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                dumps_csv(ctx)
+        # A bare line feed is quoted and reads back unchanged.
+        ctx = FormalContext.from_masks(["a\nb", "c"], ["p", "q"], [0b01, 0b10])
+        assert loads_csv(dumps_csv(ctx)) == ctx
+
     def test_bad_cell(self):
         with pytest.raises(ContextParseError):
             loads_csv(",p\na,2\n")

@@ -27,6 +27,7 @@ from contrascale.lattice import (
     is_valid_implication,
     meet,
     restrict_base_on_removal,
+    _close_mask,
 )
 from conftest import random_context
 
@@ -291,6 +292,43 @@ class TestCanonicalBase:
             ctx = random_context(rng, 6, 6)
             base = canonical_base(ctx)
             assert sorted(i.premise_mask for i in base) == brute_pseudo_intent_masks(ctx)
+
+    def test_implications_match_the_pseudo_intent_oracle(self, seeded):
+        rng = seeded(416)
+        for _ in range(60):
+            ctx = random_context(rng, 8, 8, densities=(0.5, 0.6, 0.7, 0.8, 0.9))
+            got = sorted((i.premise_mask, i.conclusion_mask) for i in canonical_base(ctx))
+            want = [
+                (p, ctx.closure_mask(p) & ~p) for p in brute_pseudo_intent_masks(ctx)
+            ]
+            assert got == want
+
+    def test_close_mask_stops_exactly_when_the_closure_meets_forbidden(self, seeded):
+        rng = seeded(417)
+        stopped = 0
+        for _ in range(1000):
+            n = 1 + rng.randrange(8)
+            full = (1 << n) - 1
+            rules = [
+                (rng.randrange(1 << n), rng.randrange(1 << n))
+                for _ in range(rng.randrange(10))
+            ]
+            mask = rng.randrange(1 << n)
+            forbidden = rng.randrange(1 << n)
+            if rng.randrange(2):
+                forbidden &= ~mask
+            # The least superset of ``mask`` that every rule respects.
+            closure = full
+            for x in range(1 << n):
+                if x & mask == mask and all(p & x != p or c & x == c for p, c in rules):
+                    closure &= x
+            assert _close_mask(rules, mask) == closure
+            if closure & forbidden:
+                stopped += 1
+                assert _close_mask(rules, mask, forbidden) is None
+            else:
+                assert _close_mask(rules, mask, forbidden) == closure
+        assert stopped > 300
 
     def test_sound_and_complete(self, seeded):
         rng = seeded(411)
