@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .context import FormalContext, _reducible, is_clarified
-from .scales import ScaleFamily, iter_scale_families
+from .context import FormalContext, _reducible, is_clarified, mask_to_indices
+from .scales import _walk
 
 __all__ = [
     "CubicSet",
@@ -92,24 +92,36 @@ def require_clarified_reduced(ctx: FormalContext) -> None:
         )
 
 
-def _cubic_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
-    """The walked families whose attribute set has no scale-carrying superset.
+def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(attrs, wits)`` of the walked sets that have no scale-carrying superset.
 
-    Family A with extent E extends by attribute m exactly when some object of
-    E misses m and every witness class of A keeps an object in col(m); it
+    Set A extends by attribute m exactly when some object of its extent
+    misses m and every witness class of A keeps an object in col(m); it
     suffices to test one-attribute extensions because scale-carrying sets
-    are closed under subsets.  For m in A the first test fails, so no
-    membership test is needed, and the test holds on any context.
+    are closed under subsets.  A set with a child in the walk is not cubic,
+    and a leaf of the walk has no extension by an m above its last
+    attribute, so only leaves are tested, and only against the m below that
+    attribute.  For m in A the first test fails, so no membership test is
+    needed, and the test holds on any context.
     """
     cols = ctx.cols()
     full = ctx.all_objects_mask
-    for family in iter_scale_families(ctx):
-        extent = full
-        for m in family.attributes:
-            extent &= cols[m]
-        wits = family.witness_masks
-        if not any(extent & ~col and all(w & col for w in wits) for col in cols):
-            yield family
+    for attrs, wits, forbidden, leaf in _walk(ctx):
+        if not leaf:
+            continue
+        extent = full & ~forbidden
+        # A column that extends the leaf breaks out of the loop; a leaf with
+        # none is cubic.  Plain loops run about twice as fast as any()/all()
+        # over generators in this, the hot part of influence.
+        for col in cols[: attrs[-1]]:
+            if extent & ~col:
+                for w in wits:
+                    if not w & col:
+                        break
+                else:
+                    break
+        else:
+            yield attrs, wits
 
 
 def cubic_sets(ctx: FormalContext, *, require_preprocessed: bool = True) -> list[CubicSet]:
@@ -117,8 +129,8 @@ def cubic_sets(ctx: FormalContext, *, require_preprocessed: bool = True) -> list
     if require_preprocessed:
         require_clarified_reduced(ctx)
     return [
-        CubicSet(f.attributes, f.dimension, f.witness_indices())
-        for f in _cubic_families(ctx)
+        CubicSet(attrs, len(attrs), tuple(map(mask_to_indices, wits)))
+        for attrs, wits in _cubic_families(ctx)
     ]
 
 
@@ -131,9 +143,9 @@ def influence(ctx: FormalContext, *, require_preprocessed: bool = True) -> Influ
     if require_preprocessed:
         require_clarified_reduced(ctx)
     counts: list[dict[int, int]] = [{} for _ in range(ctx.n_attributes)]
-    for family in _cubic_families(ctx):
-        k = family.dimension
-        for m in family.attributes:
+    for attrs, _ in _cubic_families(ctx):
+        k = len(attrs)
+        for m in attrs:
             counts[m][k] = counts[m].get(k, 0) + 1
     per_attribute = []
     for m in range(ctx.n_attributes):

@@ -111,6 +111,33 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", help="write to this file instead of stdout")
 
 
+def _algorithm_list(text: str) -> tuple[str, ...]:
+    """The ``--algorithms`` value: a nonempty comma-separated list of known names.
+
+    A name given twice is run once; the report has one entry per algorithm.
+    """
+    names = tuple(dict.fromkeys(a.strip() for a in text.split(",") if a.strip()))
+    if not names:
+        raise argparse.ArgumentTypeError("name at least one of: " + ", ".join(ALGORITHMS))
+    for name in names:
+        if name not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {name!r}; choose from: " + ", ".join(ALGORITHMS)
+            )
+    return names
+
+
+def _positive_seconds(text: str) -> float:
+    """The ``--timeout`` value: a number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="contrascale", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -211,10 +238,13 @@ def build_parser() -> _Parser:
     _add_output(p)
     p.add_argument(
         "--algorithms",
-        default=",".join(ALGORITHMS),
+        type=_algorithm_list,
+        default=ALGORITHMS,
         help="comma-separated subset of: " + ", ".join(ALGORITHMS),
     )
-    p.add_argument("--timeout", type=float, help="per-algorithm budget in seconds")
+    p.add_argument(
+        "--timeout", type=_positive_seconds, help="per-algorithm budget in seconds (> 0)"
+    )
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -385,8 +415,7 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    report = benchmark_enumeration(ctx, algorithms, timeout=args.timeout)
+    report = benchmark_enumeration(ctx, args.algorithms, timeout=args.timeout)
     _emit(args, json.dumps(report, indent=2))
     return 0
 

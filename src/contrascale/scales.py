@@ -115,9 +115,6 @@ class ScaleFamily:
     def witness_indices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(mask_to_indices(m) for m in self.witness_masks)
 
-    def scale_count(self) -> int:
-        return prod(m.bit_count() for m in self.witness_masks)
-
     def iter_scales(self) -> Iterator[ContranominalScale]:
         classes = self.witness_indices()
         for choice in product(*classes):
@@ -198,37 +195,59 @@ class BipartiteGraph:
 # -- backtracking enumeration ------------------------------------------------
 
 
-def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
-    """Walk all attribute sets carrying scales, in canonical order.
+def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, bool]]:
+    """Raw ``(attrs, wits, forbidden, leaf)`` of every scale-carrying attribute set.
 
-    Canonical order is depth-first by ascending attribute index, which equals
-    sorting by the attribute tuple.  Each family is yielded as soon as it is
-    found; the walk holds only the stack of unvisited siblings.
+    Sets come in canonical order: depth-first by ascending attribute index,
+    which equals sorting by the attribute tuple.  ``wits`` are the witness
+    masks of the family, ``forbidden`` is the complement of the extent of
+    ``attrs`` (the objects that miss one of its attributes), and ``leaf``
+    says that no set ``attrs + (m,)`` carries a scale.
+
+    Extending A by m needs an object outside ``forbidden`` that misses m and
+    an object of ``col(m)`` in every witness class.  Both tests only get
+    harder as A grows, so a child A + (x,) tests just the m > x that passed
+    for A; the stack carries that survivor mask with each unvisited sibling.
+    Each set is yielded as soon as its children are tested.
     """
     cols = ctx.cols()
-    all_objects = ctx.all_objects_mask
-    non_incidence = [all_objects & ~c for c in cols]
-    n = ctx.n_attributes
-    # Each entry is (attributes, witness masks, objects that miss one of the
-    # attributes); children are pushed with m descending so that popping
-    # visits them in ascending order.
-    stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 0)]
+    non_incidence = [ctx.all_objects_mask & ~c for c in cols]
+    # Children are pushed with m descending so that popping visits them in
+    # ascending order; child m carries the parent's survivors above m, the
+    # only attributes it has left to test.
+    stack = [((), (), 0, ctx.all_attributes_mask)]
     while stack:
-        attrs, wits, forbidden = stack.pop()
-        if attrs:
-            yield ScaleFamily(attrs, wits)
-        start = attrs[-1] + 1 if attrs else 0
-        for m in range(n - 1, start - 1, -1):
+        attrs, wits, forbidden, candidates = stack.pop()
+        survivors = 0
+        while candidates:
+            m = candidates.bit_length() - 1
+            candidates ^= 1 << m
             fresh = non_incidence[m] & ~forbidden
             if not fresh:
                 continue
-            col = cols[m]
-            filtered = tuple(w & col for w in wits)
-            # Extend only while every attribute keeps at least one witness;
-            # a class that drains to zero kills every extension as well.
-            if any(w == 0 for w in filtered):
+            filtered = tuple(map(cols[m].__and__, wits))
+            # A class that drains to zero kills every extension as well.
+            if 0 in filtered:
                 continue
-            stack.append((attrs + (m,), filtered + (fresh,), forbidden | non_incidence[m]))
+            child = attrs + (m,), filtered + (fresh,), forbidden | non_incidence[m], survivors
+            stack.append(child)
+            survivors |= 1 << m
+        if attrs:
+            yield attrs, wits, forbidden, not survivors
+
+
+def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
+    """Stream one ``ScaleFamily`` per scale-carrying attribute set, in canonical order.
+
+    Canonical order is depth-first by ascending attribute index, which equals
+    sorting by the attribute tuple.  This is a thin wrapper over the raw
+    walk, which tests a set's children only against the attributes that
+    extended its parent (both extension tests only get harder as the set
+    grows).  Each family is built as soon as the walk reaches it, and the
+    walk holds only the stack of unvisited siblings.
+    """
+    for attrs, wits, _, _ in _walk(ctx):
+        yield ScaleFamily(attrs, wits)
 
 
 def _min_dimension_core(
@@ -284,9 +303,9 @@ def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> Sca
     core, _ = _min_dimension_core(ctx, min_dimension)
     least = min_dimension or 0
     histogram: dict[int, int] = {}
-    for family in iter_scale_families(core):
-        dim = family.dimension
-        histogram[dim] = histogram.get(dim, 0) + family.scale_count()
+    for attrs, wits, _, _ in _walk(core):
+        dim = len(attrs)
+        histogram[dim] = histogram.get(dim, 0) + prod(map(int.bit_count, wits))
     return ScaleCount.from_histogram({k: v for k, v in histogram.items() if k >= least})
 
 

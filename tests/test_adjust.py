@@ -25,7 +25,7 @@ from contrascale.context import (
 )
 from contrascale.datasets import medical_diagnosis
 from contrascale.lattice import enumerate_concepts
-from contrascale.scales import enumerate_scales, iter_scale_families
+from contrascale.scales import enumerate_bruteforce, enumerate_scales, iter_scale_families
 from conftest import random_context
 
 # Golden influence table of the bundled diagnosis context: cubic-set counts
@@ -72,6 +72,28 @@ def cubic_oracle(ctx):
     ]
 
 
+def bruteforce_cubic_oracle(ctx):
+    """Cubic sets from the definition, on the brute-force scales alone.
+
+    The attribute sets of all scales, less those with a one-attribute
+    superset among them; attribute a_i of a set A is witnessed by the
+    objects g with row(g) & A == A - {a_i}.
+    """
+    carriers = {frozenset(s.attribute_indices) for s in enumerate_bruteforce(ctx)}
+    cubes = []
+    for carrier in carriers:
+        if any(carrier | {m} in carriers for m in range(ctx.n_attributes) if m not in carrier):
+            continue
+        attrs = tuple(sorted(carrier))
+        mask = sum(1 << m for m in attrs)
+        witnesses = tuple(
+            tuple(g for g in range(ctx.n_objects) if ctx.row(g) & mask == mask & ~(1 << m))
+            for m in attrs
+        )
+        cubes.append(CubicSet(attrs, len(attrs), witnesses))
+    return sorted(cubes, key=lambda c: c.attributes)
+
+
 class TestCubicSets:
     def test_contranominal_has_one_maximal_set(self):
         cubes = cubic_sets(make_contranominal(3))
@@ -112,6 +134,14 @@ class TestCubicSets:
                     if entry.attribute in cube.attributes:
                         counts[cube.dimension] = counts.get(cube.dimension, 0) + 1
                 assert entry.cubic_counts == counts
+
+    def test_random_contexts_match_bruteforce_oracle(self, seeded):
+        rng = seeded(507)
+        for _ in range(30):
+            raw = random_context(rng, 7, 7)
+            assert cubic_sets(raw, require_preprocessed=False) == bruteforce_cubic_oracle(raw)
+            ctx = preprocessed(raw)
+            assert cubic_sets(ctx) == bruteforce_cubic_oracle(ctx)
 
     def test_rejects_unclarified(self):
         ctx = FormalContext(["a", "b"], ["x", "y"], [[1, 1], [0, 0]])

@@ -371,6 +371,45 @@ class TestBench:
         assert payload["consistent"] is True
         assert payload["backtracking"]["count"] == 15
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algorithms", "foo"], "unknown algorithm 'foo'"),
+            (["--algorithms", ","], "name at least one of"),
+            (["--algorithms", "backtracking,magic"], "unknown algorithm 'magic'"),
+            (["--timeout", "-1"], "positive number of seconds"),
+            (["--timeout", "0"], "positive number of seconds"),
+            (["--timeout", "nan"], "positive number of seconds"),
+            (["--timeout", "soon"], "positive number of seconds"),
+        ],
+    )
+    def test_bad_flags_are_usage_errors(self, capsys, k4_cxt, flags, message):
+        code, out, err = run(capsys, "bench", *flags, k4_cxt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_algorithm_subset_and_timeout(self, capsys, k4_cxt):
+        code, out, _ = run(
+            capsys, "bench", "--algorithms", " bronkerbosch, ", "--timeout", "60", k4_cxt
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["bronkerbosch", "consistent"]
+        assert payload["bronkerbosch"]["count"] == 15
+
+    def test_repeated_algorithm_runs_once(self, capsys, k4_cxt, monkeypatch):
+        ran = []
+
+        def recorded(ctx, algorithms, timeout):
+            ran.append(algorithms)
+            return {}
+
+        monkeypatch.setattr(cli, "benchmark_enumeration", recorded)
+        code, _, _ = run(capsys, "bench", "--algorithms", "backtracking,backtracking", k4_cxt)
+        assert code == 0
+        assert ran == [("backtracking",)]
+
 
 class TestErrors:
     def test_unknown_flag_is_usage_error(self, capsys, k4_cxt):

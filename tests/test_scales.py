@@ -143,6 +143,48 @@ class TestBacktrackingEnumeration:
         assert built == [(0,)]
 
 
+def _walk_contexts(rng, n):
+    """Degenerate contexts (empty, full, one row, one column), then random ones."""
+    yield FormalContext.from_masks([], [], [])
+    yield FormalContext.from_masks([], ["a", "b", "c"], [])
+    yield FormalContext.from_masks(["g", "h", "i"], [], [0, 0, 0])
+    yield full_context(3, 4)
+    yield complement(full_context(3, 4))
+    yield context_from_rows(["0110"])
+    yield context_from_rows(["1", "0", "0"])
+    yield make_contranominal(4)
+    for _ in range(n):
+        yield random_context(rng, 7, 7)
+
+
+class TestRawWalk:
+    def test_leaf_flag_means_no_walked_child(self, seeded):
+        for ctx in _walk_contexts(seeded(311), 40):
+            walked = {attrs: leaf for attrs, _, _, leaf in scales._walk(ctx)}
+            for attrs, leaf in walked.items():
+                children = [m for m in range(ctx.n_attributes) if attrs + (m,) in walked]
+                assert leaf == (not children)
+
+    def test_forbidden_is_the_complement_of_the_extent(self, seeded):
+        for ctx in _walk_contexts(seeded(312), 40):
+            for attrs, _, forbidden, _ in scales._walk(ctx):
+                extent = ctx.extent_mask(sum(1 << m for m in attrs))
+                assert forbidden == ctx.all_objects_mask & ~extent
+
+    def test_wrapper_streams_the_raw_walk(self, seeded):
+        for ctx in _walk_contexts(seeded(313), 20):
+            raw = [(attrs, wits) for attrs, wits, _, _ in scales._walk(ctx)]
+            streamed = [(f.attributes, f.witness_masks) for f in iter_scale_families(ctx)]
+            assert streamed == raw
+
+    def test_count_histogram_matches_bruteforce(self, seeded):
+        for ctx in _walk_contexts(seeded(314), 40):
+            hist = {}
+            for scale in enumerate_bruteforce(ctx):
+                hist[scale.dimension] = hist.get(scale.dimension, 0) + 1
+            assert count_scales(ctx).histogram == hist
+
+
 class TestOracleEquivalence:
     def test_bronkerbosch_on_two_dimensional(self):
         scales = pairs_multiset(enumerate_bronkerbosch(make_contranominal(2)))
