@@ -168,7 +168,10 @@ def _delta_fraction(delta: float | str | Fraction) -> Fraction:
     # Floats go through their shortest decimal repr so that e.g. 0.1 * 30
     # selects 3 attributes, not 4.
     if isinstance(delta, str):
-        value = Fraction(delta)
+        try:
+            value = Fraction(delta)
+        except ZeroDivisionError:
+            raise ValueError(f"delta {delta!r} has a zero denominator") from None
     elif isinstance(delta, Fraction):
         value = delta
     else:

@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import __version__
 from .adjust import (
     NotPreprocessedError,
+    _delta_fraction,
     delta_adjust,
     influence,
     influence_csv,
@@ -396,7 +396,7 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
             ctx,
             ExperimentConfig(
                 seed=args.seed,
-                delta=Fraction(args.delta),
+                delta=_delta_fraction(args.delta),
                 repetitions=args.repetitions,
                 split_fraction=args.split,
                 method=method,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext, indices_to_mask, mask_to_indices
@@ -250,22 +249,64 @@ class ImplicationBase:
         return iter(self.implications)
 
 
+class _RuleIndex:
+    """Implications indexed by premise attribute, for closures that fire each rule once.
+
+    Rule ``r`` is bit ``r`` of a rule bitset: ``conclusions[r]`` is its
+    conclusion mask, ``blockers[m]`` pairs attribute ``m``'s bit with the
+    rules whose premise holds ``m``, and ``every`` has a bit for each rule.
+    A closure round ORs the blockers of the attributes the set lacks, fires
+    every not yet fired rule outside them at once and marks those fired, so
+    a closure looks at each rule once (Wild 1995).
+    """
+
+    __slots__ = ("conclusions", "blockers", "every")
+
+    def __init__(self, rules: Iterable[tuple[int, int]] = ()):
+        self.conclusions: list[int] = []
+        self.blockers: list[tuple[int, int]] = []
+        self.every = 0
+        for premise, conclusion in rules:
+            self.add(premise, conclusion)
+
+    def add(self, premise: int, conclusion: int) -> None:
+        rule = 1 << len(self.conclusions)
+        self.conclusions.append(conclusion)
+        self.every |= rule
+        blockers = self.blockers
+        blockers.extend((1 << m, 0) for m in range(len(blockers), premise.bit_length()))
+        for m in mask_to_indices(premise):
+            bit, rules = blockers[m]
+            blockers[m] = (bit, rules | rule)
+
+    def close(self, mask: int, forbidden: int = 0) -> int | None:
+        """Closure of ``mask`` under the rules, or ``None`` once it meets ``forbidden``."""
+        if mask & forbidden:
+            return None
+        conclusions = self.conclusions
+        pending = self.every
+        while True:
+            blocked = 0
+            for bit, rules in self.blockers:
+                if not mask & bit:
+                    blocked |= rules
+            fire = pending & ~blocked
+            if not fire:
+                return mask
+            pending ^= fire
+            while fire:
+                low = fire & -fire
+                mask |= conclusions[low.bit_length() - 1]
+                fire ^= low
+            if mask & forbidden:
+                return None
+
+
 def _close_mask(
     rules: Sequence[tuple[int, int]], mask: int, forbidden: int = 0
 ) -> int | None:
     """Closure of ``mask`` under ``rules``, or ``None`` once it meets ``forbidden``."""
-    if mask & forbidden:
-        return None
-    changed = True
-    while changed:
-        changed = False
-        for premise, conclusion in rules:
-            if premise & mask == premise and conclusion | mask != mask:
-                mask |= conclusion
-                if mask & forbidden:
-                    return None
-                changed = True
-    return mask
+    return _RuleIndex(rules).close(mask, forbidden)
 
 
 def close_under(implications: Iterable[Implication], attributes: Iterable[int]) -> tuple[int, ...]:
@@ -294,21 +335,20 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
     their number is returned as the concept count.
     """
     n = ctx.n_attributes
-    rules: list[tuple[int, int]] = []
+    rules = _RuleIndex()
     found: list[Implication] = []
     concepts = 0
     current = 0
-    close = partial(_close_mask, rules)
     while True:
         closed = ctx.closure_mask(current)
         if closed == current:
             concepts += 1
         else:
-            rules.append((current, closed))
+            rules.add(current, closed)
             found.append(
                 Implication(mask_to_indices(current), mask_to_indices(closed & ~current))
             )
-        nxt = _next_closure(current, n, close)
+        nxt = _next_closure(current, n, rules.close)
         if nxt is None:
             break
         current = nxt

@@ -435,6 +435,31 @@ class TestErrors:
         code, _, _ = run(capsys, "adjust", "--delta", "2.0", k4_cxt)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adjust"],
+            ["influence", "--pretty"],
+            ["experiment", "structure"],
+            ["experiment", "knowledge", "--seed", "1"],
+        ],
+        ids=["adjust", "influence", "experiment structure", "experiment knowledge"],
+    )
+    def test_zero_denominator_delta_is_data_error(self, capsys, diagnosis_cxt, argv):
+        code, _, err = run(capsys, *argv, "--delta", "1/0", diagnosis_cxt)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(contrascale.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "contrascale", "--version"],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        assert done.stdout.decode().strip() == contrascale.__version__
+
 
 # Subcommands that need a clarified and reduced context, or two attributes.
 _PREPROCESSED_ONLY = ("influence", "adjust", "experiment structure", "experiment knowledge")

@@ -28,6 +28,7 @@ from contrascale.lattice import (
     meet,
     restrict_base_on_removal,
     _close_mask,
+    _RuleIndex,
 )
 from conftest import random_context
 
@@ -330,6 +331,64 @@ class TestCanonicalBase:
                 assert _close_mask(rules, mask, forbidden) == closure
         assert stopped > 300
 
+    def test_rule_index_closes_by_definition_while_rules_arrive(self, seeded):
+        # As in canonical_base: rules are added between closures, and each
+        # closure sees exactly the rules added so far.
+        rng = seeded(418)
+        stopped = closed = 0
+        for _ in range(300):
+            n = rng.randrange(11)
+            index = _RuleIndex()
+            rules = []
+            for _ in range(rng.randrange(16)):
+                if rng.randrange(3):
+                    premise = rng.randrange(1 << n) & rng.randrange(1 << n)
+                    if not rng.randrange(5):
+                        premise = 0
+                    rules.append((premise, rng.randrange(1 << n)))
+                    index.add(*rules[-1])
+                mask = rng.randrange(1 << n) & rng.randrange(1 << n)
+                forbidden = rng.randrange(1 << n)
+                if rng.randrange(2):
+                    forbidden &= ~mask
+                closure = _least_respecting_superset(rules, mask, n)
+                assert index.close(mask) == closure
+                if closure & forbidden:
+                    stopped += 1
+                    assert index.close(mask, forbidden) is None
+                else:
+                    closed += 1
+                    assert index.close(mask, forbidden) == closure
+        assert stopped > 500 and closed > 500
+
+    def test_one_context_closure_per_closed_set_visited(self, seeded, monkeypatch):
+        rng = seeded(419)
+        contexts = [
+            medical_diagnosis(),
+            FormalContext.from_masks([], ["a", "b", "c"], []),
+            FormalContext.from_masks(["g", "h", "i"], [], [0, 0, 0]),
+        ]
+        for _ in range(4):
+            raw = random_context(rng, 42, 15, densities=(0.7,), min_objects=42, min_attributes=15)
+            contexts.append(reduce_context(clarify(raw)[0])[0])
+        calls = 0
+        closure_mask = FormalContext.closure_mask
+
+        def counted(self, mask):
+            nonlocal calls
+            calls += 1
+            return closure_mask(self, mask)
+
+        # FormalContext has slots, so the method is patched on the class.
+        monkeypatch.setattr(FormalContext, "closure_mask", counted)
+        per_input = []
+        for ctx in contexts:
+            calls = 0
+            base = canonical_base(ctx)
+            assert calls == base.concepts + len(base)
+            per_input.append(calls)
+        assert per_input[:3] == [88 + 40, 2, 1]
+
     def test_sound_and_complete(self, seeded):
         rng = seeded(411)
         for _ in range(15):
@@ -348,6 +407,20 @@ class TestCanonicalBase:
         base = canonical_base(ctx)
         premises = [imp.premise for imp in base]
         assert premises == sorted(premises)
+
+
+def _least_respecting_superset(rules, mask, n):
+    """The least superset of ``mask`` within ``n`` attributes that every rule respects."""
+    closure = (1 << n) - 1
+    rest = closure & ~mask
+    sub = rest
+    while True:
+        x = mask | sub
+        if all(p & x != p or c & x == c for p, c in rules):
+            closure &= x
+        if not sub:
+            return closure
+        sub = (sub - 1) & rest
 
 
 class TestBaseSizeMonotonicity:
