@@ -44,6 +44,7 @@ from .context import (
 )
 from .formats import ContextParseError, dumps_csv, dumps_cxt, infer_format, load_context
 from .lattice import (
+    _lectic_walk,
     canonical_base,
     concepts_json,
     enumerate_concepts,
@@ -187,8 +188,9 @@ def build_parser() -> _Parser:
     _add_input(p)
     _add_output(p)
     p.add_argument("--delta", help="mark the selection for this delta in the table")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--pretty", action="store_true")
+    mode.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("adjust", help="select the low-influence attribute subset")
@@ -267,16 +269,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "density": round(ctx.density, 6),
     }
     if args.full:
-        concepts = enumerate_concepts(ctx)
-        n = len(concepts)
+        intents, pseudo = _lectic_walk(ctx)
+        n = len(intents)
         payload["concepts"] = n
         payload["mean_objects_per_concept"] = round(
-            sum(len(c.extent) for c in concepts) / n, 4
+            sum(ctx.extent_mask(intent).bit_count() for intent in intents) / n, 4
         )
         payload["mean_attributes_per_concept"] = round(
-            sum(len(c.intent) for c in concepts) / n, 4
+            sum(intent.bit_count() for intent in intents) / n, 4
         )
-        payload["canonical_base_size"] = len(canonical_base(ctx))
+        payload["canonical_base_size"] = len(pseudo)
     _emit(args, json.dumps(payload, indent=2))
     return 0
 
@@ -333,10 +335,11 @@ def cmd_scales(args: argparse.Namespace) -> int:
 
 
 def cmd_influence(args: argparse.Namespace) -> int:
+    delta = None if args.delta is None else _delta_fraction(args.delta)
     ctx = _read_context(args)
     report = influence(ctx)
     if args.pretty:
-        _emit(args, influence_table(report, args.delta))
+        _emit(args, influence_table(report, delta))
     elif args.csv:
         _emit(args, influence_csv(report))
     else:
@@ -359,11 +362,10 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 
 def cmd_concepts(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    concepts = enumerate_concepts(ctx)
     if args.count_only:
-        _emit(args, json.dumps({"concepts": len(concepts)}, indent=2))
+        _emit(args, json.dumps({"concepts": len(_lectic_walk(ctx)[0])}, indent=2))
     else:
-        _emit(args, concepts_json(concepts, ctx))
+        _emit(args, concepts_json(enumerate_concepts(ctx), ctx))
     return 0
 
 

@@ -81,42 +81,12 @@ def _concept_from_extent_mask(ctx: FormalContext, extent_mask: int) -> FormalCon
 
 
 def enumerate_concepts(ctx: FormalContext) -> ConceptSet:
-    """All formal concepts, via lectic closure stepping over intents."""
-    n = ctx.n_attributes
-
-    def close(mask: int, forbidden: int) -> int | None:
-        closed = ctx.closure_mask(mask)
-        return None if closed & forbidden else closed
-
-    concepts = []
-    intent = ctx.closure_mask(0)
-    while True:
-        concepts.append(
-            FormalConcept(mask_to_indices(ctx.extent_mask(intent)), mask_to_indices(intent))
-        )
-        nxt = _next_closure(intent, n, close)
-        if nxt is None:
-            break
-        intent = nxt
-    return ConceptSet(concepts)
-
-
-def _next_closure(current: int, n: int, close) -> int | None:
-    """Smallest closed set lectically above ``current`` under ``close``.
-
-    ``close(mask, forbidden)`` returns the closure of ``mask``, or ``None``
-    once it meets ``forbidden``: the attributes below the candidate's
-    position that ``current`` lacks, which fail the canonicity test.
-    """
-    for i in reversed(range(n)):
-        bit = 1 << i
-        if current & bit:
-            continue
-        below = bit - 1
-        candidate = close((current & below) | bit, below & ~current)
-        if candidate is not None:
-            return candidate
-    return None
+    """All formal concepts: the intents the lectic walk passes."""
+    intents, _ = _lectic_walk(ctx)
+    return ConceptSet(
+        FormalConcept(mask_to_indices(ctx.extent_mask(intent)), mask_to_indices(intent))
+        for intent in intents
+    )
 
 
 def _require_concept(ctx: FormalContext, c: FormalConcept) -> None:
@@ -235,7 +205,8 @@ class ImplicationBase:
     """The result of ``canonical_base``; ``close_under`` evaluates closures under it.
 
     ``concepts`` is the number of intents its lectic walk passed, that is,
-    the number of formal concepts of the context.
+    the number of formal concepts; ``enumerate_concepts`` builds its
+    concepts from the intents of that same walk.
     """
 
     def __init__(self, implications: Iterable[Implication], concepts: int):
@@ -302,16 +273,9 @@ class _RuleIndex:
                 return None
 
 
-def _close_mask(
-    rules: Sequence[tuple[int, int]], mask: int, forbidden: int = 0
-) -> int | None:
-    """Closure of ``mask`` under ``rules``, or ``None`` once it meets ``forbidden``."""
-    return _RuleIndex(rules).close(mask, forbidden)
-
-
 def close_under(implications: Iterable[Implication], attributes: Iterable[int]) -> tuple[int, ...]:
-    rules = [(i.premise_mask, i.conclusion_mask) for i in implications]
-    return mask_to_indices(_close_mask(rules, indices_to_mask(attributes)))
+    rules = _RuleIndex((i.premise_mask, i.conclusion_mask) for i in implications)
+    return mask_to_indices(rules.close(indices_to_mask(attributes)))
 
 
 def is_valid_implication(ctx: FormalContext, imp: Implication) -> bool:
@@ -324,36 +288,55 @@ def is_valid_implication(ctx: FormalContext, imp: Implication) -> bool:
     return premise_extent & conclusion_extent == premise_extent
 
 
-def canonical_base(ctx: FormalContext) -> ImplicationBase:
-    """Minimum-cardinality sound and complete implication base.
+def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[tuple[int, int]]]:
+    """NextClosure over the sets closed under the implications found so far.
 
-    Premises are enumerated lectically among the sets closed under the
-    implications found so far; each one whose context closure is larger
-    contributes an implication.  Conclusions are stored saturated (full
-    closure minus the premise) and the result is re-sorted by premise.
-    The other sets the walk passes are exactly the intents (Ganter 2010), so
-    their number is returned as the concept count.
+    Returns the intent masks and the ``(pseudo-intent, closure)`` mask pairs
+    in lectic order: the walk visits exactly the intents and the
+    pseudo-intents (Ganter 2010), at one context closure each.  A candidate
+    at position i fails canonicity, and its L-closure stops, once it meets
+    an attribute below i that the current set lacks.
     """
     n = ctx.n_attributes
     rules = _RuleIndex()
-    found: list[Implication] = []
-    concepts = 0
+    intents: list[int] = []
+    pseudo: list[tuple[int, int]] = []
     current = 0
     while True:
         closed = ctx.closure_mask(current)
         if closed == current:
-            concepts += 1
+            intents.append(current)
         else:
             rules.add(current, closed)
-            found.append(
-                Implication(mask_to_indices(current), mask_to_indices(closed & ~current))
-            )
-        nxt = _next_closure(current, n, rules.close)
-        if nxt is None:
-            break
-        current = nxt
+            pseudo.append((current, closed))
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if current & bit:
+                continue
+            below = bit - 1
+            candidate = rules.close((current & below) | bit, below & ~current)
+            if candidate is not None:
+                current = candidate
+                break
+        else:
+            return intents, pseudo
+
+
+def canonical_base(ctx: FormalContext) -> ImplicationBase:
+    """Minimum-cardinality sound and complete implication base.
+
+    The premises are the pseudo-intents the lectic walk passes.  Conclusions
+    are stored saturated (full closure minus the premise) and the result is
+    re-sorted by premise.  The other sets the walk passes are the intents,
+    so their number is returned as the concept count.
+    """
+    intents, pseudo = _lectic_walk(ctx)
+    found = [
+        Implication(mask_to_indices(premise), mask_to_indices(closed & ~premise))
+        for premise, closed in pseudo
+    ]
     found.sort(key=lambda imp: imp.premise)
-    return ImplicationBase(found, concepts)
+    return ImplicationBase(found, len(intents))
 
 
 def restrict_base_on_removal(base: Sequence[Implication], m: int) -> list[Implication]:

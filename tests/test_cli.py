@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 import contrascale
 from contrascale import cli
 from contrascale.cli import main
-from contrascale.context import FormalContext, make_contranominal
+from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
+from contrascale.lattice import canonical_base
 from contrascale.scales import enumerate_scales, write_scales_json
 from conftest import random_context
 
@@ -276,6 +278,36 @@ class TestInfluenceAndAdjust:
         assert "clarify" in err
 
 
+# sha256 of stdout, by command and input: the diagnosis context, or the seed of a
+# clarified, reduced 42x15 context of density 0.7 (`_reduced_42x15`).
+_PINNED_STDOUT = {
+    "concepts": {
+        "diagnosis": "f6d98331641fb81a4a7fff3439e49b2ca1d42fe451907bca2b838a7b7312bea4",
+        0: "7482b1f49ecda217129735c8c66c61b97212927e0ead1b9c9e78e7e1b517367a",
+        1: "2282335874ebce58f33635426208537bbfde0e25be83455209d2a9f988fb08cb",
+        2: "28735655bd2e26c034bde32f4d8cff4c7fb62e06cedcd2b821697b39fc6d4f8c",
+    },
+    "concepts --count-only": {
+        "diagnosis": "2793937fbb0713e5f6569d29f51ac85b981bcfdd527447a0b2f5d3f18ce3349e",
+        0: "34dcadaa0a97eb6bacc21816d083bb678fe70a7ecdd8904b8cc345f7a91e1843",
+        1: "9d6a5f935c80330bc91714b2c59b9f55a694e0c8d9b4a28aa555c0ed421f7e1c",
+        2: "3b476c7d39125ec646cdddf039bbd28ed5604f6d342f243799dc3f00f50ec931",
+    },
+    "stats --full": {
+        "diagnosis": "7c992d164048d85fa837605531e76f4eefec76fd2f70b73336887367bce4b146",
+        0: "4ee5b374644b106ff732e354102955aace9116816e5bc7941b7396426c7000e4",
+        1: "d36c61948b4d62a4a9e8c4f79acfa0a0be60d86da607e7f812e659f0435563d7",
+        2: "a39cd29d2b5fc749d37bc96cfe6e1820539bda6a2b884324524cc6672105bc7c",
+    },
+    "base --pretty": {
+        "diagnosis": "d22ea532878e4eb0e892a99fa67b4f23b7c541a7319da81127913ba250ebf65b",
+        0: "d49043910bd64bf19b8b2fcdba4ad4df7ae4bb10796ff9f20a28e213b28d0380",
+        1: "eed02a438de0b4e2cf4eccad698786bb1de6b42da91745dab985ae7c404fcaf3",
+        2: "e154106dff0cc2b89e8e4bbf804723ad3e0e77863b5120111950f3e3a0153fa7",
+    },
+}
+
+
 class TestConceptsAndBase:
     def test_concept_count(self, capsys, diagnosis_cxt):
         code, out, _ = run(capsys, "concepts", "--count-only", diagnosis_cxt)
@@ -293,6 +325,60 @@ class TestConceptsAndBase:
         _, out, _ = run(capsys, "base", "--pretty", diagnosis_cxt)
         assert len(out.strip().splitlines()) == 40
         assert "->" in out
+
+    @pytest.mark.parametrize("command", ["stats --full", "concepts", "concepts --count-only"])
+    def test_each_command_walks_the_context_once(self, capsys, tmp_path, seeded, monkeypatch, command):
+        contexts = [
+            medical_diagnosis(),
+            FormalContext.from_masks([], ["a", "b", "c"], []),
+            FormalContext.from_masks(["g", "h", "i"], [], [0, 0, 0]),
+        ]
+        for source in range(2):
+            contexts.append(_reduced_42x15(seeded(23, source)))
+        # Every set the lectic walk visits is an intent or a pseudo-intent,
+        # and each costs one context closure.
+        visited = [base.concepts + len(base) for base in map(canonical_base, contexts)]
+        calls = 0
+        closure_mask = FormalContext.closure_mask
+
+        def counted(self, mask):
+            nonlocal calls
+            calls += 1
+            return closure_mask(self, mask)
+
+        # FormalContext has slots, so the method is patched on the class.
+        monkeypatch.setattr(FormalContext, "closure_mask", counted)
+        per_input = []
+        for ctx in contexts:
+            path = tmp_path / "input.cxt"
+            path.write_text(dumps_cxt(ctx))
+            calls = 0
+            assert run(capsys, *command.split(), str(path))[0] == 0
+            per_input.append(calls)
+        assert per_input == visited
+        assert per_input[:3] == [88 + 40, 2, 1]
+
+    @pytest.mark.parametrize(
+        "command, source, digest",
+        [
+            (command, source, digest)
+            for command, digests in _PINNED_STDOUT.items()
+            for source, digest in digests.items()
+        ],
+    )
+    def test_cli_output_bytes_are_pinned(self, capsys, tmp_path, seeded, command, source, digest):
+        # Any change to a concept, its order, a mean or an implication moves it.
+        ctx = medical_diagnosis() if source == "diagnosis" else _reduced_42x15(seeded(23, source))
+        path = tmp_path / "input.cxt"
+        path.write_text(dumps_cxt(ctx))
+        code, out, _ = run(capsys, *command.split(), str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reduced_42x15(rng):
+    raw = random_context(rng, 42, 15, (0.7,), min_objects=42, min_attributes=15)
+    return reduce_context(clarify(raw)[0])[0]
 
 
 class TestExperiments:
@@ -450,6 +536,22 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("delta", ["abc", "7", "-1", "1/0"])
+    @pytest.mark.parametrize("mode", [[], ["--csv"], ["--pretty"]], ids=["json", "csv", "pretty"])
+    def test_bad_influence_delta_is_data_error_in_every_mode(
+        self, capsys, diagnosis_cxt, mode, delta
+    ):
+        code, out, err = run(capsys, "influence", *mode, "--delta", delta, diagnosis_cxt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_influence_pretty_and_csv_are_exclusive(self, capsys, diagnosis_cxt):
+        code, out, err = run(capsys, "influence", "--pretty", "--csv", diagnosis_cxt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(contrascale.__file__).resolve().parents[1])

@@ -27,7 +27,6 @@ from contrascale.lattice import (
     is_valid_implication,
     meet,
     restrict_base_on_removal,
-    _close_mask,
     _RuleIndex,
 )
 from conftest import random_context
@@ -323,12 +322,12 @@ class TestCanonicalBase:
             for x in range(1 << n):
                 if x & mask == mask and all(p & x != p or c & x == c for p, c in rules):
                     closure &= x
-            assert _close_mask(rules, mask) == closure
+            assert _RuleIndex(rules).close(mask) == closure
             if closure & forbidden:
                 stopped += 1
-                assert _close_mask(rules, mask, forbidden) is None
+                assert _RuleIndex(rules).close(mask, forbidden) is None
             else:
-                assert _close_mask(rules, mask, forbidden) == closure
+                assert _RuleIndex(rules).close(mask, forbidden) == closure
         assert stopped > 300
 
     def test_rule_index_closes_by_definition_while_rules_arrive(self, seeded):
