@@ -9,7 +9,6 @@ survivors valid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +28,6 @@ __all__ = [
     "influence",
     "select_attributes",
     "delta_adjust",
-    "influence_table",
-    "influence_csv",
-    "influence_json",
-    "selection_json",
 ]
 
 
@@ -205,69 +200,3 @@ def delta_adjust(
     report = influence(ctx, require_preprocessed=require_preprocessed)
     chosen = select_attributes(report, value)
     return AdjustedSelection(delta=float(value), attributes=chosen, report=report)
-
-
-# -- rendering ----------------------------------------------------------------
-
-
-def _count_columns(report: InfluenceReport) -> list[int]:
-    ks = {k for a in report.per_attribute for k in a.cubic_counts}
-    return sorted(ks)
-
-
-def influence_table(report: InfluenceReport, delta: float | str | Fraction | None = None) -> str:
-    """Plain-text influence table in original attribute order."""
-    if not report.per_attribute:
-        return ""
-    chosen = set(select_attributes(report, delta)) if delta is not None else set()
-    ks = _count_columns(report)
-    header = ["attribute"] + [str(k) for k in ks] + ["zeta"]
-    if delta is not None:
-        header.append("selected")
-    table = [header]
-    for a in report.per_attribute:
-        row = [a.label]
-        row.extend(str(a.cubic_counts.get(k, 0)) for k in ks)
-        row.append(f"{a.zeta:.1f}")
-        if delta is not None:
-            row.append("*" if a.attribute in chosen else "")
-        table.append(row)
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = []
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
-
-
-def influence_csv(report: InfluenceReport) -> str:
-    ks = _count_columns(report)
-    lines = [",".join(["attribute"] + [str(k) for k in ks] + ["zeta"])]
-    for a in report.per_attribute:
-        cells = [a.label] + [str(a.cubic_counts.get(k, 0)) for k in ks]
-        cells.append(f"{a.zeta:.1f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def influence_json(report: InfluenceReport) -> str:
-    payload = [
-        {
-            "label": a.label,
-            "counts": {str(k): c for k, c in a.cubic_counts.items()},
-            "zeta": a.zeta,
-        }
-        for a in report.per_attribute
-    ]
-    return json.dumps(payload, indent=2)
-
-
-def selection_json(selection: AdjustedSelection, ctx: FormalContext) -> str:
-    chosen = set(selection.attributes)
-    payload = {
-        "delta": selection.delta,
-        "chosen": [ctx.attributes[m] for m in selection.attributes],
-        "excluded": [
-            ctx.attributes[m] for m in range(ctx.n_attributes) if m not in chosen
-        ],
-    }
-    return json.dumps(payload, indent=2)

@@ -3,7 +3,6 @@ and enumeration timing."""
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,9 +25,6 @@ __all__ = [
     "run_knowledge_experiment",
     "run_structure_experiment",
     "benchmark_enumeration",
-    "experiment_result_dict",
-    "experiment_result_json",
-    "experiment_result_csv",
 ]
 
 METHODS = ("adjusted", "sampled")
@@ -262,46 +258,3 @@ def benchmark_enumeration(
     }
     report["consistent"] = len(finished_counts) <= 1
     return report
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def experiment_result_dict(result: ExperimentResult) -> dict:
-    """The JSON payload of one experiment arm, as plain data."""
-    return {
-        "config": {
-            "seed": result.config.seed,
-            "delta": float(result.config.delta),
-            "repetitions": result.config.repetitions,
-            "split_fraction": result.config.split_fraction,
-            "method": result.config.method,
-        },
-        "mean_accuracy": result.mean_accuracy,
-        "std_accuracy": result.std_accuracy,
-        "concept_count": result.concept_count,
-        "base_size": result.base_size,
-        "repetitions": [
-            {
-                "index": r.index,
-                "label": r.label_attribute,
-                "features": list(r.features),
-                "accuracy": r.accuracy,
-            }
-            for r in result.repetitions
-        ],
-    }
-
-
-def experiment_result_json(result: ExperimentResult) -> str:
-    return json.dumps(experiment_result_dict(result), indent=2)
-
-
-def experiment_result_csv(results: Sequence[ExperimentResult]) -> str:
-    lines = ["method,mean_accuracy,std_accuracy,concept_count,base_size"]
-    for r in results:
-        lines.append(
-            f"{r.config.method},{r.mean_accuracy:.4f},{r.std_accuracy:.4f},"
-            f"{r.concept_count},{r.base_size}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,35 +1,37 @@
 """Command-line driver for the whole pipeline.
 
+Library calls return data; this module builds every command's text.
 Structured results go to stdout as JSON (human-readable tables behind
-``--pretty``); diagnostics go to stderr.  Exit status: 0 success, 1 usage
-error, 2 data error.
+``--pretty``, contexts behind ``--to``); diagnostics go to stderr.  Exit
+status: 0 success, also when the reader closes the pipe early; 1 usage
+error; 2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from dataclasses import asdict
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .adjust import (
+    InfluenceReport,
     NotPreprocessedError,
     _delta_fraction,
     delta_adjust,
     influence,
-    influence_csv,
-    influence_json,
-    influence_table,
-    selection_json,
+    select_attributes,
 )
 from .bench import (
     ExperimentConfig,
+    ExperimentResult,
     benchmark_enumeration,
-    experiment_result_csv,
-    experiment_result_dict,
-    experiment_result_json,
     run_knowledge_experiment,
     run_structure_experiment,
 )
@@ -43,22 +45,8 @@ from .context import (
     reduce_context,
 )
 from .formats import ContextParseError, dumps_csv, dumps_cxt, infer_format, load_context
-from .lattice import (
-    _lectic_walk,
-    canonical_base,
-    concepts_json,
-    enumerate_concepts,
-    implication_to_line,
-    implications_json,
-)
-from .scales import (
-    ALGORITHMS,
-    count_report_json,
-    count_scales,
-    enumerate_scales,
-    write_scale_lines,
-    write_scales_json,
-)
+from .lattice import _lectic_walk, canonical_base, enumerate_concepts
+from .scales import ALGORITHMS, ContranominalScale, count_scales, enumerate_scales
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -92,11 +80,23 @@ def _output(args: argparse.Namespace) -> Iterator[Callable[[str], object]]:
         yield sys.stdout.write
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _json(payload: object) -> str:
+    """The JSON text of every structured output."""
+    return json.dumps(payload, indent=2)
+
+
+def _emit(args: argparse.Namespace, output: object) -> None:
+    """Write ``output``, text as it is and any other payload as JSON, ending in a newline."""
+    text = output if isinstance(output, str) else _json(output)
     if not text.endswith("\n"):
         text += "\n"
     with _output(args) as write:
         write(text)
+
+
+def _emit_context(args: argparse.Namespace, ctx: FormalContext) -> None:
+    """Write ``ctx`` in the ``--to`` format."""
+    _emit(args, dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx))
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -252,12 +252,91 @@ def build_parser() -> _Parser:
     return parser
 
 
+# -- text forms -----------------------------------------------------------------
+
+
+def _write_scale_lines(
+    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
+) -> None:
+    """Write one ``dim=k; pairs=(g,m),...`` line per scale; a lone newline when there is none."""
+    empty = True
+    for scale in scales:
+        pairs = ",".join(f"({ctx.objects[g]},{ctx.attributes[m]})" for g, m in scale.pairs)
+        write(f"dim={scale.dimension}; pairs={pairs}\n")
+        empty = False
+    if empty:
+        write("\n")
+
+
+def _write_scales_json(
+    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
+) -> None:
+    """Write the scales as a JSON list, one chunk per scale, then a newline.
+
+    The text equals ``_json([{"dim": k, "pairs": [[object, attribute],
+    ...]}, ...])`` followed by a newline; each label is encoded once.
+    """
+    # A pair [g, m] is object g's text followed by attribute m's.
+    objects = [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects]
+    attributes = [f'        {encode_basestring_ascii(m)}\n      ]' for m in ctx.attributes]
+    opening = "[\n"
+    for scale in scales:
+        pairs = ",\n".join([objects[g] + attributes[m] for g, m in scale.pairs])
+        write(f'{opening}  {{\n    "dim": {scale.dimension},\n    "pairs": [\n{pairs}\n    ]\n  }}')
+        opening = ",\n"
+    write("[]\n" if opening == "[\n" else "\n]\n")
+
+
+def _influence_rows(report: InfluenceReport) -> list[list[str]]:
+    """The header and one row per attribute: label, cubic sets per size, zeta."""
+    ks = sorted({k for a in report.per_attribute for k in a.cubic_counts})
+    rows = [["attribute", *map(str, ks), "zeta"]]
+    for a in report.per_attribute:
+        rows.append([a.label, *(str(a.cubic_counts.get(k, 0)) for k in ks), f"{a.zeta:.1f}"])
+    return rows
+
+
+def _influence_table(report: InfluenceReport, delta: Fraction | None) -> str:
+    """The rows in aligned columns, plus a ``selected`` column when ``delta`` is given."""
+    if not report.per_attribute:
+        return ""
+    rows = _influence_rows(report)
+    if delta is not None:
+        chosen = set(select_attributes(report, delta))
+        rows[0].append("selected")
+        for a, row in zip(report.per_attribute, rows[1:]):
+            row.append("*" if a.attribute in chosen else "")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )
+
+
+def _experiment_payload(result: ExperimentResult) -> dict:
+    """The JSON payload of one experiment arm."""
+    return {
+        "config": {**asdict(result.config), "delta": float(result.config.delta)},
+        "mean_accuracy": result.mean_accuracy,
+        "std_accuracy": result.std_accuracy,
+        "concept_count": result.concept_count,
+        "base_size": result.base_size,
+        "repetitions": [
+            {
+                "index": r.index,
+                "label": r.label_attribute,
+                "features": list(r.features),
+                "accuracy": r.accuracy,
+            }
+            for r in result.repetitions
+        ],
+    }
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    ctx = _read_context(args)
-    _emit(args, dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx))
+    _emit_context(args, _read_context(args))
     return 0
 
 
@@ -279,7 +358,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             sum(intent.bit_count() for intent in intents) / n, 4
         )
         payload["canonical_base_size"] = len(pseudo)
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, payload)
     return 0
 
 
@@ -300,8 +379,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         ]
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(trace_payload, indent=2) + "\n")
-    _emit(args, dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx))
+            fh.write(_json(trace_payload) + "\n")
+    _emit_context(args, ctx)
     return 0
 
 
@@ -309,28 +388,31 @@ def cmd_core(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     selection = pq_core(ctx, args.p, args.q)
     if args.to:
-        core_ctx = apply_selection(selection)
-        _emit(args, dumps_cxt(core_ctx) if args.to == "cxt" else dumps_csv(core_ctx))
+        _emit_context(args, apply_selection(selection))
     else:
-        payload = {
+        _emit(args, {
             "objects": [ctx.objects[g] for g in selection.object_indices],
             "attributes": [ctx.attributes[m] for m in selection.attribute_indices],
-        }
-        _emit(args, json.dumps(payload, indent=2))
+        })
     return 0
 
 
 def cmd_scales(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     if args.count_only:
-        _emit(args, count_report_json(count_scales(ctx, min_dimension=args.min_dim)))
+        count = count_scales(ctx, min_dimension=args.min_dim)
+        _emit(args, {
+            "total": count.total,
+            "max_dimension": count.max_dimension,
+            "histogram": {str(k): v for k, v in count.histogram.items()},
+        })
         return 0
     stream = enumerate_scales(ctx, min_dimension=args.min_dim)
     with _output(args) as write:
         if args.pretty:
-            write_scale_lines(stream, ctx, write)
+            _write_scale_lines(stream, ctx, write)
         else:
-            write_scales_json(stream, ctx, write)
+            _write_scales_json(stream, ctx, write)
     return 0
 
 
@@ -339,11 +421,18 @@ def cmd_influence(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     report = influence(ctx)
     if args.pretty:
-        _emit(args, influence_table(report, delta))
+        _emit(args, _influence_table(report, delta))
     elif args.csv:
-        _emit(args, influence_csv(report))
+        _emit(args, "\n".join(map(",".join, _influence_rows(report))))
     else:
-        _emit(args, influence_json(report))
+        _emit(args, [
+            {
+                "label": a.label,
+                "counts": {str(k): c for k, c in a.cubic_counts.items()},
+                "zeta": a.zeta,
+            }
+            for a in report.per_attribute
+        ])
     return 0
 
 
@@ -351,33 +440,54 @@ def cmd_adjust(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     selection = delta_adjust(ctx, args.delta)
     if args.to:
-        sub = apply_selection(
-            SubcontextSelection(ctx, tuple(range(ctx.n_objects)), selection.attributes)
-        )
-        _emit(args, dumps_cxt(sub) if args.to == "cxt" else dumps_csv(sub))
+        sub = SubcontextSelection(ctx, tuple(range(ctx.n_objects)), selection.attributes)
+        _emit_context(args, apply_selection(sub))
     else:
-        _emit(args, selection_json(selection, ctx))
+        chosen = set(selection.attributes)
+        _emit(args, {
+            "delta": selection.delta,
+            "chosen": [ctx.attributes[m] for m in selection.attributes],
+            "excluded": [label for m, label in enumerate(ctx.attributes) if m not in chosen],
+        })
     return 0
 
 
 def cmd_concepts(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     if args.count_only:
-        _emit(args, json.dumps({"concepts": len(_lectic_walk(ctx)[0])}, indent=2))
+        _emit(args, {"concepts": len(_lectic_walk(ctx)[0])})
     else:
-        _emit(args, concepts_json(enumerate_concepts(ctx), ctx))
+        _emit(args, [
+            {
+                "extent": [ctx.objects[g] for g in c.extent],
+                "intent": [ctx.attributes[m] for m in c.intent],
+            }
+            for c in enumerate_concepts(ctx)
+        ])
     return 0
 
 
 def cmd_base(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     base = canonical_base(ctx)
+    labels = ctx.attributes
     if args.count_only:
-        _emit(args, json.dumps({"implications": len(base)}, indent=2))
+        _emit(args, {"implications": len(base)})
     elif args.pretty:
-        _emit(args, "\n".join(implication_to_line(imp, ctx) for imp in base))
+        _emit(args, "\n".join(
+            ", ".join(labels[m] for m in imp.premise)
+            + " -> "
+            + ", ".join(labels[m] for m in imp.conclusion)
+            for imp in base
+        ))
     else:
-        _emit(args, implications_json(base, ctx))
+        _emit(args, [
+            {
+                "premise": [labels[m] for m in imp.premise],
+                "conclusion": [labels[m] for m in imp.conclusion],
+            }
+            for imp in base
+        ])
     return 0
 
 
@@ -386,7 +496,7 @@ def cmd_experiment_structure(args: argparse.Namespace) -> int:
     payload = run_structure_experiment(
         ctx, args.delta, samples=args.samples, seed=args.seed
     )
-    _emit(args, json.dumps(payload, indent=2))
+    _emit(args, payload)
     return 0
 
 
@@ -407,18 +517,22 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
         for method in methods
     ]
     if args.csv:
-        _emit(args, experiment_result_csv(results))
-    elif len(results) == 1:
-        _emit(args, experiment_result_json(results[0]))
+        lines = ["method,mean_accuracy,std_accuracy,concept_count,base_size"]
+        lines.extend(
+            f"{r.config.method},{r.mean_accuracy:.4f},{r.std_accuracy:.4f},"
+            f"{r.concept_count},{r.base_size}"
+            for r in results
+        )
+        _emit(args, "\n".join(lines))
     else:
-        _emit(args, json.dumps([experiment_result_dict(r) for r in results], indent=2))
+        payloads = [_experiment_payload(r) for r in results]
+        _emit(args, payloads if len(payloads) > 1 else payloads[0])
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    report = benchmark_enumeration(ctx, args.algorithms, timeout=args.timeout)
-    _emit(args, json.dumps(report, indent=2))
+    _emit(args, benchmark_enumeration(ctx, args.algorithms, timeout=args.timeout))
     return 0
 
 
@@ -431,6 +545,11 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader stopped early, as ``| head`` does; that is not a data
+        # error.  Stdout goes to devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -36,7 +36,7 @@ def infer_format(path: str) -> str:
     ext = os.path.splitext(path)[1].lower().lstrip(".")
     if ext in _ALIASES:
         return _ALIASES[ext]
-    raise ValueError(f"cannot infer context format from {path!r}; pass one of {FORMATS}")
+    raise ValueError(f"cannot infer context format from {path!r}; pass format 'cxt' or 'csv'")
 
 
 def _normalize_format(fmt: str) -> str:

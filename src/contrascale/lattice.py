@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -22,9 +21,6 @@ __all__ = [
     "canonical_base",
     "restrict_base_on_removal",
     "close_under",
-    "concepts_json",
-    "implications_json",
-    "implication_to_line",
 ]
 
 
@@ -380,34 +376,3 @@ def restrict_base_on_removal(base: Sequence[Implication], m: int) -> list[Implic
         else:
             push(imp.premise, (a for a in imp.conclusion if a != m))
     return out
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def concepts_json(concepts: ConceptSet, ctx: FormalContext) -> str:
-    payload = [
-        {
-            "extent": [ctx.objects[g] for g in c.extent],
-            "intent": [ctx.attributes[m] for m in c.intent],
-        }
-        for c in concepts
-    ]
-    return json.dumps(payload, indent=2)
-
-
-def implication_to_line(imp: Implication, ctx: FormalContext) -> str:
-    lhs = ", ".join(ctx.attributes[m] for m in imp.premise)
-    rhs = ", ".join(ctx.attributes[m] for m in imp.conclusion)
-    return f"{lhs} -> {rhs}"
-
-
-def implications_json(base: Iterable[Implication], ctx: FormalContext) -> str:
-    payload = [
-        {
-            "premise": [ctx.attributes[m] for m in imp.premise],
-            "conclusion": [ctx.attributes[m] for m in imp.conclusion],
-        }
-        for imp in base
-    ]
-    return json.dumps(payload, indent=2)

@@ -8,12 +8,10 @@ the conflict graph serves as an independent cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .context import (
     ClarificationMap,
@@ -44,10 +42,6 @@ __all__ = [
     "scales_from_reduced",
     "to_bipartite",
     "induced_matchings",
-    "scale_to_line",
-    "write_scale_lines",
-    "write_scales_json",
-    "count_report_json",
 ]
 
 ALGORITHMS = ("backtracking", "bronkerbosch")
@@ -548,54 +542,3 @@ def induced_matchings(graph: BipartiteGraph) -> Iterator[tuple[tuple[int, int], 
     )
     for scale in enumerate_scales(ctx):
         yield scale.pairs
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def scale_to_line(scale: ContranominalScale, ctx: FormalContext) -> str:
-    pairs = ",".join(
-        f"({ctx.objects[g]},{ctx.attributes[m]})" for g, m in scale.pairs
-    )
-    return f"dim={scale.dimension}; pairs={pairs}"
-
-
-def write_scale_lines(
-    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
-) -> None:
-    """Write one ``scale_to_line`` line per scale; a lone newline when there is none."""
-    empty = True
-    for scale in scales:
-        write(scale_to_line(scale, ctx) + "\n")
-        empty = False
-    if empty:
-        write("\n")
-
-
-def write_scales_json(
-    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
-) -> None:
-    """Write the scales as a JSON list, one chunk per scale, then a newline.
-
-    The text equals ``json.dumps([{"dim": k, "pairs": [[object, attribute],
-    ...]}, ...], indent=2)`` followed by a newline; each label is encoded
-    once.
-    """
-    # A pair [g, m] is object g's text followed by attribute m's.
-    objects = [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects]
-    attributes = [f'        {encode_basestring_ascii(m)}\n      ]' for m in ctx.attributes]
-    opening = "[\n"
-    for scale in scales:
-        pairs = ",\n".join([objects[g] + attributes[m] for g, m in scale.pairs])
-        write(f'{opening}  {{\n    "dim": {scale.dimension},\n    "pairs": [\n{pairs}\n    ]\n  }}')
-        opening = ",\n"
-    write("[]\n" if opening == "[\n" else "\n]\n")
-
-
-def count_report_json(count: ScaleCount) -> str:
-    payload = {
-        "total": count.total,
-        "max_dimension": count.max_dimension,
-        "histogram": {str(k): v for k, v in sorted(count.histogram.items())},
-    }
-    return json.dumps(payload, indent=2)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from contrascale.cli import main
 from contrascale.context import FormalContext
+from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 
 
@@ -65,3 +67,16 @@ def seeded():
         return SplitMix64(derive_seed(0xC0FFEE, *parts))
 
     return make
+
+
+@pytest.fixture
+def cli_stdout(capsys, tmp_path):
+    """Run one command on ``ctx``, written to a ``.cxt`` file; its stdout."""
+
+    def run(ctx: FormalContext, *argv: str) -> str:
+        path = tmp_path / "input.cxt"
+        path.write_text(dumps_cxt(ctx))
+        assert main([*argv, str(path)]) == 0
+        return capsys.readouterr().out
+
+    return run

@@ -10,9 +10,6 @@ from contrascale.adjust import (
     cubic_sets,
     delta_adjust,
     influence,
-    influence_csv,
-    influence_json,
-    influence_table,
     select_attributes,
 )
 from contrascale.context import (
@@ -264,8 +261,8 @@ class TestDeltaAdjust:
 
 
 class TestRendering:
-    def test_diagnosis_table(self):
-        table = influence_table(influence(medical_diagnosis()), delta=0.5)
+    def test_diagnosis_table(self, cli_stdout):
+        table = cli_stdout(medical_diagnosis(), "influence", "--pretty", "--delta", "0.5")
         lines = table.splitlines()
         assert lines[0].split() == ["attribute", "2", "3", "4", "zeta", "selected"]
         c_row = next(line for line in lines if line.startswith("c "))
@@ -273,22 +270,21 @@ class TestRendering:
         i_row = next(line for line in lines if line.startswith("i "))
         assert i_row.split() == ["i", "3", "16", "0", "48.7", "*"]
 
-    def test_contranominal_table_rounds_scores(self):
-        table = influence_table(influence(make_contranominal(3)))
+    def test_contranominal_table_rounds_scores(self, cli_stdout):
+        table = cli_stdout(make_contranominal(3), "influence", "--pretty")
         for line in table.splitlines()[1:]:
             assert line.split()[-1] == "2.7"
 
-    def test_empty_context_renders_empty(self):
-        ctx = FormalContext([], [], [])
-        assert influence_table(influence(ctx)) == ""
+    def test_empty_context_renders_empty(self, cli_stdout):
+        assert cli_stdout(FormalContext([], [], []), "influence", "--pretty") == "\n"
 
-    def test_csv_and_json_forms(self):
-        report = influence(medical_diagnosis())
-        csv_text = influence_csv(report)
+    def test_csv_and_json_forms(self, cli_stdout):
+        ctx = medical_diagnosis()
+        csv_text = cli_stdout(ctx, "influence", "--csv")
         assert csv_text.splitlines()[0] == "attribute,2,3,4,zeta"
         assert "c,1,31,9,120.7" in csv_text
         import json
 
-        payload = json.loads(influence_json(report))
+        payload = json.loads(cli_stdout(ctx, "influence"))
         assert payload[2]["label"] == "c"
         assert payload[2]["counts"] == {"2": 1, "3": 31, "4": 9}

@@ -9,8 +9,6 @@ from contrascale.bench import (
     ExperimentConfig,
     benchmark_enumeration,
     decision_tree_accuracy,
-    experiment_result_csv,
-    experiment_result_json,
     run_knowledge_experiment,
     run_structure_experiment,
     sample_attributes,
@@ -359,16 +357,15 @@ class TestBenchmark:
 
 
 class TestSerialization:
-    def test_json_and_csv_round_trip_fields(self):
+    def test_json_and_csv_round_trip_fields(self, cli_stdout):
         import json
 
         ctx = medical_diagnosis()
-        result = run_knowledge_experiment(
-            ctx, ExperimentConfig(seed=4, repetitions=3, method="adjusted")
-        )
-        payload = json.loads(experiment_result_json(result))
+        argv = ["experiment", "knowledge", "--seed", "4", "--repetitions", "3"]
+        argv += ["--method", "adjusted"]
+        payload = json.loads(cli_stdout(ctx, *argv))
         assert payload["config"]["seed"] == 4
         assert len(payload["repetitions"]) == 3
-        csv_text = experiment_result_csv([result])
+        csv_text = cli_stdout(ctx, *argv, "--csv")
         assert csv_text.splitlines()[0].startswith("method,mean_accuracy")
         assert csv_text.splitlines()[1].startswith("adjusted,")

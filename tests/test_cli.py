@@ -14,7 +14,7 @@ from contrascale.context import FormalContext, clarify, make_contranominal, redu
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
 from contrascale.lattice import canonical_base
-from contrascale.scales import enumerate_scales, write_scales_json
+from contrascale.scales import enumerate_scales
 from conftest import random_context
 
 
@@ -183,7 +183,7 @@ class TestScaleStream:
         for _ in range(30):
             ctx = _awkward_context(rng)
             chunks = []
-            write_scales_json(enumerate_scales(ctx), ctx, chunks.append)
+            cli._write_scales_json(enumerate_scales(ctx), ctx, chunks.append)
             assert "".join(chunks) == _reference_json(ctx)
             # One chunk per scale, then the closing one.
             assert len(chunks) == len(list(enumerate_scales(ctx))) + 1
@@ -243,6 +243,23 @@ class TestScaleStream:
             capture_output=True, env=env, timeout=60, check=True,
         )
         assert done.stdout == _reference_json(ctx).encode()
+
+    @pytest.mark.parametrize("flags", [[], ["--pretty"]], ids=["json", "pretty"])
+    def test_reader_closing_the_pipe_is_not_an_error(self, tmp_path, flags):
+        # 8,191 scales, far more text than a pipe buffers.
+        path = tmp_path / "k13.cxt"
+        path.write_text(dumps_cxt(make_contranominal(13)))
+        src = str(Path(contrascale.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "contrascale", "scales", *flags, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestInfluenceAndAdjust:
@@ -304,6 +321,90 @@ _PINNED_STDOUT = {
         0: "d49043910bd64bf19b8b2fcdba4ad4df7ae4bb10796ff9f20a28e213b28d0380",
         1: "eed02a438de0b4e2cf4eccad698786bb1de6b42da91745dab985ae7c404fcaf3",
         2: "e154106dff0cc2b89e8e4bbf804723ad3e0e77863b5120111950f3e3a0153fa7",
+    },
+    "influence": {
+        "diagnosis": "13f80852e86f4a4406687ce7c8d02695ad8b31cc2dc57594c5efa5afc3b11cf5",
+        0: "37d3a650a798b22ad6b6703daeb2db1dd63d13b9116a30a6cd778999c0e7e553",
+        1: "3be3f201c4dee02e19f3112c3ca7090299151c36342947010743425497a4265c",
+        2: "6b0cefc0c261ce1ae02051221ca81e917e69e1ac99ff191f02f828c614bfda42",
+    },
+    "influence --csv": {
+        "diagnosis": "0e1f7e0535b6f8144b17f640dfe3f5ebcec460e7360922a20aa5448b2945b698",
+        0: "f4f918cb15c8222149f32ef6f2d1397a5d71c589712489d06b2a1ed8d8b809fe",
+        1: "5d80b6dd18752acbf8eb2ef58e6a87793001232102bf35a17cb6f31310b52331",
+        2: "0113ea5431fa2d7f4924c5db7fa94d3c010ce3e8443fdbe8b9d9026d667f6aba",
+    },
+    "influence --pretty": {
+        "diagnosis": "44513b903c27d54885633852f05244f05ee34d437af7768461b28ff30cc2d396",
+        0: "41b43d89c06f1fe2cdee058e638c5e9bf1083b120908384ea22d8240300a890f",
+        1: "e2d1532352407c56a5857f4be0cdcf7ae88fc4e82d2ad40cc9bd57ef8b628916",
+        2: "4f6394cb3d966b22ee361a48478c27fff745645b63a43e0599bb38525c9c8365",
+    },
+    "influence --pretty --delta 0.5": {
+        "diagnosis": "512427c1d478fa57b3213287780601dac8e2d696756305364dd7a8e8bbfb1db8",
+        0: "a2e995a5cb48dbd847644f695d3b7be14568125b23a52efdf18e7f8432494b88",
+        1: "e2cd6954a8e086828ae2ca9ec3c879c1867e58c49b2f417daaacee5a4b04fafc",
+        2: "d58828146e156b2619c90b084d4f9cde92a1f87e107cea82e9572d1926b5c81b",
+    },
+    "adjust --delta 0.5": {
+        "diagnosis": "6627337f9a0732e395ba6783d2a44c2b1272125527e93d549946724179dd22db",
+        0: "f9096d2a806ef5a8d30e2417f8bd129cbd91c83b531d419e92505a724210d245",
+        1: "34c66c3efeff98ab1ba5c809ac79c21ae24c3fd58341e9c730e54aad004f3b4d",
+        2: "9bf2b9ec9beed1a7b2a94093d7a6f180928b86679f5debfc2f2783e94fe8371e",
+    },
+    "adjust --delta 0.5 --to csv": {
+        "diagnosis": "6bb4b2d5a2dd0235dfa0df4f4f28c2c8adefc7d88e0c8965b3daf0b62f2cba8d",
+        0: "a0fbb6b06e2940ee24c278f732d6af7638ed68b879370d14bf49b9b46ba81cfe",
+        1: "64b0b70f0b88f215b58c95c5b7552698680ca3edd2b2ebaf7f8f9c91df495b3b",
+        2: "c7c0b7e71c0a8778c6db68270f2531b1af605690f577000de59eb08e634f2a90",
+    },
+    "scales --count-only": {
+        "diagnosis": "d2c33fe1dd7edd40ef62aa51a07079f8caee659655151330ec163a62056f2259",
+        0: "c83c898a16b186470272a6752b4d0f85e64f4380be88a4e91bb5373fbff910eb",
+        1: "319dbbd0d361115dab6527dbbd5f011b2fd5977f3b616a78dbec60326460f55c",
+        2: "3216e8009eb84f85c9140d24512f67e24b876d5800b4bab811efd5d3c5f2ea76",
+    },
+    "scales --count-only --min-dim 3": {
+        "diagnosis": "45683e2127d99cba84bd426354af53e12dbf2a7cc8d37fe9e1d1e7f6958d9d07",
+        0: "7aaf631f8f3bb46d5782035445e033c0567cb82a2b4362efef8eed46579c0639",
+        1: "4670a68566c791036a250d7bcc83308eac89aba35004f0035c3d17a362b314cc",
+        2: "e10a92f6cbdc74630aad5ddf7e20457bd774e615fd673775df0a98772de4545b",
+    },
+    "base": {
+        "diagnosis": "58a36aeb7e7fe341a531f38912f8bb5d99111a2c57531f06cd1af1ef32356856",
+        0: "f1c5b58653fc24e6e716d371ecdd466f8ff4e7cce89de93870e83fc084ce74e7",
+        1: "b10bfb7d128fae1f18133887e5938e39fdd6f3fc3d048bd834f323069a9337b3",
+        2: "f0928173f29997e5748d12a18f1a9fcaf67b305400abdd5040a6f35935799523",
+    },
+    "core -p 3 -q 3": {
+        "diagnosis": "79ee5b587459876d7c810c22a42e97e788ca9ae51ca65e33692c76840076c030",
+        0: "9dcf1ed6077239d1bdb88aee791f6eb396c29ed99e9e7701f29773198aa55e28",
+        1: "8a914d68f1507a8f3bc98092b58b972ce01e60a1e19b25fedb7559da84865f59",
+        2: "9faa619867df3b9f4a76a70746a074b8bdbae3e194dbd1c87912f2d18b8b2ea5",
+    },
+    "core -p 3 -q 3 --to cxt": {
+        "diagnosis": "16bcaabd1d961d267317295a7d44f38f6579a23a8d2767b26087a2fc5914b1b7",
+        0: "bfe37583be7c7a21415c4b2fba38915468ce6292a7f0da6fa0c4d1a932b3fe82",
+        1: "1d7fd186764e7e676a798ed9a88373d0c575d2c7c2e57cd8846e88da4a61b895",
+        2: "3d5604301a342e140e4f1df99d572e856a3361739571860281452b25b3d13ee5",
+    },
+    "convert --to csv": {
+        "diagnosis": "f8b2d64571ff52e96cd89ec867eacfc5f9a3ff6b58bb5411516b1e19bed74561",
+        0: "66d58c8598d62d1a065db3dcece50c19125065bd4029021c96df383361d88d6b",
+        1: "571f3e7c046f08f901b02a537a6fb039b02bbb8abd926022f717f42e6eb03034",
+        2: "5d05e110d4a3470c75c1d1954cfa3371e509a2dcd3b956137495ef80fc4e7361",
+    },
+    "scales --pretty": {
+        "diagnosis": "4ed8627aee39bc21a8d79ff2bdd14912ccf1b74ef6668bc5a239bc457e1eb078",
+    },
+    "scales --min-dim 3": {
+        "diagnosis": "8b1fbc3314c903ad1a82861ed572f29b4f5447169cd021446cfc59cfbf486910",
+    },
+    "experiment knowledge --seed 7 --repetitions 50 --method adjusted": {
+        "diagnosis": "b21b6b3b5690105e38509aee1af54a6bb958c61cb769875f9767d9a84d93359e",
+    },
+    "experiment knowledge --seed 7 --repetitions 50 --csv": {
+        "diagnosis": "50b0aee862f593a58d0389cfda87b5265203b8a01436eca4236a760ac221a65d",
     },
 }
 
@@ -552,6 +653,14 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_stdin_without_format_names_formats_the_cli_accepts(self, capsys, monkeypatch, k4_cxt):
+        code, out, err = run(capsys, "stats", "-")
+        assert code == 2 and out == ""
+        assert "'cxt' or 'csv'" in err and "burmeister" not in err
+        with open(k4_cxt) as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert run(capsys, "stats", "--format", "cxt", "-")[0] == 0
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(contrascale.__file__).resolve().parents[1])

@@ -22,7 +22,6 @@ from contrascale.lattice import (
     close_under,
     enumerate_concepts,
     generated_sub_meet_semilattice,
-    implication_to_line,
     is_boolean_suborder,
     is_valid_implication,
     meet,
@@ -492,7 +491,7 @@ class TestRestrictBaseOnRemoval:
 
 
 class TestSerialization:
-    def test_implication_line(self):
-        ctx = FormalContext(["g"], ["p", "q", "r"], [[1, 1, 1]])
-        line = implication_to_line(Implication((0, 2), (1,)), ctx)
-        assert line == "p, r -> q"
+    def test_implication_line(self, cli_stdout):
+        ctx = FormalContext(["g", "h", "i"], ["p", "q", "r"], [[1, 0, 0], [0, 0, 1], [1, 1, 1]])
+        lines = cli_stdout(ctx, "base", "--pretty").splitlines()
+        assert lines == ["p, r -> q", "q -> p, r"]

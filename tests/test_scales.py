@@ -23,7 +23,6 @@ from contrascale.scales import (
     induced_matchings,
     iter_scale_families,
     max_dimension,
-    scale_to_line,
     scales_from_clarified,
     scales_from_reduced,
     to_bipartite,
@@ -416,9 +415,8 @@ class TestBipartiteAdapter:
 
 
 class TestSerialization:
-    def test_line_format(self):
-        ctx = make_contranominal(2)
-        lines = [scale_to_line(s, ctx) for s in enumerate_scales(ctx)]
+    def test_line_format(self, cli_stdout):
+        lines = cli_stdout(make_contranominal(2), "scales", "--pretty").splitlines()
         assert lines == [
             "dim=1; pairs=(1,1)",
             "dim=2; pairs=(1,1),(2,2)",
