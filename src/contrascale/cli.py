@@ -348,11 +348,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "density": round(ctx.density, 6),
     }
     if args.full:
-        intents, pseudo = _lectic_walk(ctx)
+        intents, extents, pseudo = _lectic_walk(ctx)
         n = len(intents)
         payload["concepts"] = n
         payload["mean_objects_per_concept"] = round(
-            sum(ctx.extent_mask(intent).bit_count() for intent in intents) / n, 4
+            sum(extent.bit_count() for extent in extents) / n, 4
         )
         payload["mean_attributes_per_concept"] = round(
             sum(intent.bit_count() for intent in intents) / n, 4

@@ -77,11 +77,11 @@ def _concept_from_extent_mask(ctx: FormalContext, extent_mask: int) -> FormalCon
 
 
 def enumerate_concepts(ctx: FormalContext) -> ConceptSet:
-    """All formal concepts: the intents the lectic walk passes."""
-    intents, _ = _lectic_walk(ctx)
+    """All formal concepts: the intents the lectic walk passes, with their extents."""
+    intents, extents, _ = _lectic_walk(ctx)
     return ConceptSet(
-        FormalConcept(mask_to_indices(ctx.extent_mask(intent)), mask_to_indices(intent))
-        for intent in intents
+        FormalConcept(mask_to_indices(extent), mask_to_indices(intent))
+        for intent, extent in zip(intents, extents)
     )
 
 
@@ -200,9 +200,9 @@ class Implication:
 class ImplicationBase:
     """The result of ``canonical_base``; ``close_under`` evaluates closures under it.
 
-    ``concepts`` is the number of intents its lectic walk passed, that is,
-    the number of formal concepts; ``enumerate_concepts`` builds its
-    concepts from the intents of that same walk.
+    ``concepts`` is the number of intents its lectic (Close-by-One) walk
+    passed, that is, the number of formal concepts; ``enumerate_concepts``
+    builds its concepts from the intents and extents of that same walk.
     """
 
     def __init__(self, implications: Iterable[Implication], concepts: int):
@@ -246,10 +246,15 @@ class _RuleIndex:
             bit, rules = blockers[m]
             blockers[m] = (bit, rules | rule)
 
-    def close(self, mask: int, forbidden: int = 0) -> int | None:
-        """Closure of ``mask`` under the rules, or ``None`` once it meets ``forbidden``."""
+    def close(self, mask: int, forbidden: int = 0) -> int:
+        """Closure of ``mask`` under the rules, cut short once it meets ``forbidden``.
+
+        The closure is returned whole when it misses ``forbidden``.  Otherwise
+        the result is the first set the closure reaches that meets
+        ``forbidden``: it holds ``mask`` and lies inside the closure.
+        """
         if mask & forbidden:
-            return None
+            return mask
         conclusions = self.conclusions
         pending = self.every
         while True:
@@ -266,7 +271,7 @@ class _RuleIndex:
                 mask |= conclusions[low.bit_length() - 1]
                 fire ^= low
             if mask & forbidden:
-                return None
+                return mask
 
 
 def close_under(implications: Iterable[Implication], attributes: Iterable[int]) -> tuple[int, ...]:
@@ -284,38 +289,73 @@ def is_valid_implication(ctx: FormalContext, imp: Implication) -> bool:
     return premise_extent & conclusion_extent == premise_extent
 
 
-def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[tuple[int, int]]]:
-    """NextClosure over the sets closed under the implications found so far.
+def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The intents and the pseudo-intents, in lectic order.
 
-    Returns the intent masks and the ``(pseudo-intent, closure)`` mask pairs
-    in lectic order: the walk visits exactly the intents and the
-    pseudo-intents (Ganter 2010), at one context closure each.  A candidate
-    at position i fails canonicity, and its L-closure stops, once it meets
-    an attribute below i that the current set lacks.
+    Returns the intent masks, their extent masks and the
+    ``(pseudo-intent, closure)`` mask pairs.  The walk passes the sets closed
+    under the implications L found so far, which are exactly the intents and
+    the pseudo-intents (Ganter 2010).  It is a depth-first Close-by-One tree
+    on an explicit stack: a set's children add one attribute above the one
+    that produced it, in descending order.  That is lectic order, so every
+    pseudo-intent below a candidate is already in L.  A child's extent is its
+    parent's extent AND the new column, since every rule in L holds in the
+    context, so each set costs one ``intent_mask`` call.
+
+    A candidate at attribute i fails canonicity, and its L-closure stops,
+    once it meets an attribute below i that the set lacks.  The attributes
+    it met there are kept as a witness: the later siblings and their
+    subtrees skip i while their set misses the witness, because the
+    L-closure only grows with the set and with L (FCbO: Outrata and
+    Vychodil 2012; on the base as in LinCbO: Janostik, Konecny and
+    Krajca 2021).
     """
     n = ctx.n_attributes
+    cols = ctx.cols()
+    intent_mask = ctx.intent_mask
     rules = _RuleIndex()
     intents: list[int] = []
+    extents: list[int] = []
     pseudo: list[tuple[int, int]] = []
-    current = 0
-    while True:
-        closed = ctx.closure_mask(current)
+
+    def visit(current: int, extent: int) -> None:
+        closed = intent_mask(extent)
         if closed == current:
             intents.append(current)
+            extents.append(extent)
         else:
             rules.add(current, closed)
             pseudo.append((current, closed))
-        for i in reversed(range(n)):
+
+    full = ctx.all_attributes_mask
+    top = ctx.all_objects_mask
+    visit(0, top)
+    # A frame is a set, its extent, the attributes left to try as a mask,
+    # its witnesses by attribute, and whether it owns that list.
+    stack = [(0, top, full, [0] * n, False)]
+    while stack:
+        current, extent, untried, witnesses, owned = stack.pop()
+        while untried:
+            i = untried.bit_length() - 1
             bit = 1 << i
-            if current & bit:
+            untried ^= bit
+            if witnesses[i] & ~current:
                 continue
-            below = bit - 1
-            candidate = rules.close((current & below) | bit, below & ~current)
-            if candidate is not None:
-                current = candidate
-                break
-        else:
-            return intents, pseudo
+            forbidden = (bit - 1) & ~current
+            candidate = rules.close(current | bit, forbidden)
+            if candidate & forbidden:
+                if not owned:
+                    witnesses = witnesses.copy()
+                    owned = True
+                witnesses[i] = candidate & forbidden
+                continue
+            child_extent = extent & cols[i]
+            visit(candidate, child_extent)
+            stack.append((current, extent, untried, witnesses, owned))
+            above = full & ~((bit << 1) - 1)
+            stack.append((candidate, child_extent, above & ~candidate, witnesses, False))
+            break
+    return intents, extents, pseudo
 
 
 def canonical_base(ctx: FormalContext) -> ImplicationBase:
@@ -326,7 +366,7 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
     re-sorted by premise.  The other sets the walk passes are the intents,
     so their number is returned as the concept count.
     """
-    intents, pseudo = _lectic_walk(ctx)
+    intents, _, pseudo = _lectic_walk(ctx)
     found = [
         Implication(mask_to_indices(premise), mask_to_indices(closed & ~premise))
         for premise, closed in pseudo

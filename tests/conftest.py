@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from contrascale.cli import main
-from contrascale.context import FormalContext
+from contrascale.context import FormalContext, clarify, reduce_context
 from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 
@@ -31,6 +33,27 @@ def random_context(
         [f"m{j}" for j in range(n_att)],
         rows,
     )
+
+
+def reduced_42x15(rng: SplitMix64) -> FormalContext:
+    """A clarified, reduced context drawn as 42x15 at density 0.7."""
+    raw = random_context(rng, 42, 15, (0.7,), min_objects=42, min_attributes=15)
+    return reduce_context(clarify(raw)[0])[0]
+
+
+def count_context_calls(monkeypatch) -> Counter:
+    """Count calls to the context's derivation operators from now on."""
+    calls: Counter = Counter()
+    for name in ("intent_mask", "extent_mask", "closure_mask"):
+        method = getattr(FormalContext, name)
+
+        def counted(self, mask, name=name, method=method):
+            calls[name] += 1
+            return method(self, mask)
+
+        # FormalContext has slots, so the method is patched on the class.
+        monkeypatch.setattr(FormalContext, name, counted)
+    return calls
 
 
 def context_from_rows(rows: list[str]) -> FormalContext:

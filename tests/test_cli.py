@@ -10,12 +10,12 @@ import pytest
 import contrascale
 from contrascale import cli
 from contrascale.cli import main
-from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
+from contrascale.context import FormalContext, make_contranominal
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
 from contrascale.lattice import canonical_base
 from contrascale.scales import enumerate_scales
-from conftest import random_context
+from conftest import count_context_calls, random_context, reduced_42x15
 
 
 @pytest.fixture
@@ -296,7 +296,7 @@ class TestInfluenceAndAdjust:
 
 
 # sha256 of stdout, by command and input: the diagnosis context, or the seed of a
-# clarified, reduced 42x15 context of density 0.7 (`_reduced_42x15`).
+# clarified, reduced 42x15 context of density 0.7 (`conftest.reduced_42x15`).
 _PINNED_STDOUT = {
     "concepts": {
         "diagnosis": "f6d98331641fb81a4a7fff3439e49b2ca1d42fe451907bca2b838a7b7312bea4",
@@ -435,27 +435,19 @@ class TestConceptsAndBase:
             FormalContext.from_masks(["g", "h", "i"], [], [0, 0, 0]),
         ]
         for source in range(2):
-            contexts.append(_reduced_42x15(seeded(23, source)))
+            contexts.append(reduced_42x15(seeded(23, source)))
         # Every set the lectic walk visits is an intent or a pseudo-intent,
-        # and each costs one context closure.
+        # and each costs one intent derivation from the extent it inherits.
         visited = [base.concepts + len(base) for base in map(canonical_base, contexts)]
-        calls = 0
-        closure_mask = FormalContext.closure_mask
-
-        def counted(self, mask):
-            nonlocal calls
-            calls += 1
-            return closure_mask(self, mask)
-
-        # FormalContext has slots, so the method is patched on the class.
-        monkeypatch.setattr(FormalContext, "closure_mask", counted)
+        calls = count_context_calls(monkeypatch)
         per_input = []
         for ctx in contexts:
             path = tmp_path / "input.cxt"
             path.write_text(dumps_cxt(ctx))
-            calls = 0
+            calls.clear()
             assert run(capsys, *command.split(), str(path))[0] == 0
-            per_input.append(calls)
+            assert calls["extent_mask"] == calls["closure_mask"] == 0
+            per_input.append(calls["intent_mask"])
         assert per_input == visited
         assert per_input[:3] == [88 + 40, 2, 1]
 
@@ -469,17 +461,12 @@ class TestConceptsAndBase:
     )
     def test_cli_output_bytes_are_pinned(self, capsys, tmp_path, seeded, command, source, digest):
         # Any change to a concept, its order, a mean or an implication moves it.
-        ctx = medical_diagnosis() if source == "diagnosis" else _reduced_42x15(seeded(23, source))
+        ctx = medical_diagnosis() if source == "diagnosis" else reduced_42x15(seeded(23, source))
         path = tmp_path / "input.cxt"
         path.write_text(dumps_cxt(ctx))
         code, out, _ = run(capsys, *command.split(), str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def _reduced_42x15(rng):
-    raw = random_context(rng, 42, 15, (0.7,), min_objects=42, min_attributes=15)
-    return reduce_context(clarify(raw)[0])[0]
 
 
 class TestExperiments:

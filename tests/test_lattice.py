@@ -28,7 +28,7 @@ from contrascale.lattice import (
     restrict_base_on_removal,
     _RuleIndex,
 )
-from conftest import random_context
+from conftest import count_context_calls, random_context
 
 
 HALF_ADJUSTED = tuple("dehijlno")
@@ -324,7 +324,10 @@ class TestCanonicalBase:
             assert _RuleIndex(rules).close(mask) == closure
             if closure & forbidden:
                 stopped += 1
-                assert _RuleIndex(rules).close(mask, forbidden) is None
+                partial = _RuleIndex(rules).close(mask, forbidden)
+                assert partial & mask == mask
+                assert partial & ~closure == 0
+                assert partial & forbidden
             else:
                 assert _RuleIndex(rules).close(mask, forbidden) == closure
         assert stopped > 300
@@ -353,7 +356,10 @@ class TestCanonicalBase:
                 assert index.close(mask) == closure
                 if closure & forbidden:
                     stopped += 1
-                    assert index.close(mask, forbidden) is None
+                    partial = index.close(mask, forbidden)
+                    assert partial & mask == mask
+                    assert partial & ~closure == 0
+                    assert partial & forbidden
                 else:
                     closed += 1
                     assert index.close(mask, forbidden) == closure
@@ -369,22 +375,14 @@ class TestCanonicalBase:
         for _ in range(4):
             raw = random_context(rng, 42, 15, densities=(0.7,), min_objects=42, min_attributes=15)
             contexts.append(reduce_context(clarify(raw)[0])[0])
-        calls = 0
-        closure_mask = FormalContext.closure_mask
-
-        def counted(self, mask):
-            nonlocal calls
-            calls += 1
-            return closure_mask(self, mask)
-
-        # FormalContext has slots, so the method is patched on the class.
-        monkeypatch.setattr(FormalContext, "closure_mask", counted)
+        calls = count_context_calls(monkeypatch)
         per_input = []
         for ctx in contexts:
-            calls = 0
+            calls.clear()
             base = canonical_base(ctx)
-            assert calls == base.concepts + len(base)
-            per_input.append(calls)
+            assert calls["intent_mask"] == base.concepts + len(base)
+            assert calls["extent_mask"] == calls["closure_mask"] == 0
+            per_input.append(calls["intent_mask"])
         assert per_input[:3] == [88 + 40, 2, 1]
 
     def test_sound_and_complete(self, seeded):
