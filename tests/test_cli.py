@@ -10,7 +10,7 @@ import pytest
 import contrascale
 from contrascale import cli
 from contrascale.cli import main
-from contrascale.context import FormalContext, make_contranominal
+from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
 from contrascale.lattice import canonical_base
@@ -295,8 +295,11 @@ class TestInfluenceAndAdjust:
         assert "clarify" in err
 
 
-# sha256 of stdout, by command and input: the diagnosis context, or the seed of a
-# clarified, reduced 42x15 context of density 0.7 (`conftest.reduced_42x15`).
+# sha256 of stdout, by command and input: the diagnosis context, the seed of a
+# clarified, reduced 42x15 context of density 0.7 (`conftest.reduced_42x15`), or
+# a raw draw of 70x9 or 130x7 at density 0.75 (`_pinned_input`), whose witness
+# classes are wider than a machine word; `influence` and `adjust` refuse raw
+# input, so they get that draw clarified and reduced.
 _PINNED_STDOUT = {
     "concepts": {
         "diagnosis": "f6d98331641fb81a4a7fff3439e49b2ca1d42fe451907bca2b838a7b7312bea4",
@@ -333,6 +336,8 @@ _PINNED_STDOUT = {
         0: "f4f918cb15c8222149f32ef6f2d1397a5d71c589712489d06b2a1ed8d8b809fe",
         1: "5d80b6dd18752acbf8eb2ef58e6a87793001232102bf35a17cb6f31310b52331",
         2: "0113ea5431fa2d7f4924c5db7fa94d3c010ce3e8443fdbe8b9d9026d667f6aba",
+        "reduced 70x9": "de11b6cb1006ac0182e71a5f2dfa286d800ec083a2aa6989e4de97eb1ad61507",
+        "reduced 130x7": "31ef9ef619254bb54c0b60ba9d83620368e25b30d16440bd2df6de907ea07a2a",
     },
     "influence --pretty": {
         "diagnosis": "44513b903c27d54885633852f05244f05ee34d437af7768461b28ff30cc2d396",
@@ -351,6 +356,8 @@ _PINNED_STDOUT = {
         0: "f9096d2a806ef5a8d30e2417f8bd129cbd91c83b531d419e92505a724210d245",
         1: "34c66c3efeff98ab1ba5c809ac79c21ae24c3fd58341e9c730e54aad004f3b4d",
         2: "9bf2b9ec9beed1a7b2a94093d7a6f180928b86679f5debfc2f2783e94fe8371e",
+        "reduced 70x9": "404c0a37cfb0f60a38f668efc03ea1021cff585b237e4eb8a863180339add528",
+        "reduced 130x7": "2fad0be9d8b3744e0d1f3e0e318271e51cb2a5b3ff2b16e9736bce28f233fa8a",
     },
     "adjust --delta 0.5 --to csv": {
         "diagnosis": "6bb4b2d5a2dd0235dfa0df4f4f28c2c8adefc7d88e0c8965b3daf0b62f2cba8d",
@@ -363,6 +370,10 @@ _PINNED_STDOUT = {
         0: "c83c898a16b186470272a6752b4d0f85e64f4380be88a4e91bb5373fbff910eb",
         1: "319dbbd0d361115dab6527dbbd5f011b2fd5977f3b616a78dbec60326460f55c",
         2: "3216e8009eb84f85c9140d24512f67e24b876d5800b4bab811efd5d3c5f2ea76",
+        "raw 70x9": "43c418b6bc368d311949f9aedf244c1ce84a56c541cae8e1dc5b0a78646e3ab0",
+        "raw 130x7": "bb4d975c633adfd93af170894429d962a25ad77312ab41e1dfc05f901511e0ac",
+        "reduced 70x9": "a73f84f7c830e66b70ba4048c7f9d876377ae5f884e8145a096687b79d6aeaa5",
+        "reduced 130x7": "033f9e6b6ba61e341d9c551ed7a9783347b4c28eff9e496d2f5070e872ebfd50",
     },
     "scales --count-only --min-dim 3": {
         "diagnosis": "45683e2127d99cba84bd426354af53e12dbf2a7cc8d37fe9e1d1e7f6958d9d07",
@@ -407,6 +418,19 @@ _PINNED_STDOUT = {
         "diagnosis": "50b0aee862f593a58d0389cfda87b5265203b8a01436eca4236a760ac221a65d",
     },
 }
+
+
+def _pinned_input(source, seeded) -> FormalContext:
+    if source == "diagnosis":
+        return medical_diagnosis()
+    if isinstance(source, int):
+        return reduced_42x15(seeded(23, source))
+    form, shape = source.split()
+    n_obj, n_att = map(int, shape.split("x"))
+    raw = random_context(
+        seeded(29, n_obj), n_obj, n_att, (0.75,), min_objects=n_obj, min_attributes=n_att
+    )
+    return raw if form == "raw" else reduce_context(clarify(raw)[0])[0]
 
 
 class TestConceptsAndBase:
@@ -461,7 +485,7 @@ class TestConceptsAndBase:
     )
     def test_cli_output_bytes_are_pinned(self, capsys, tmp_path, seeded, command, source, digest):
         # Any change to a concept, its order, a mean or an implication moves it.
-        ctx = medical_diagnosis() if source == "diagnosis" else reduced_42x15(seeded(23, source))
+        ctx = _pinned_input(source, seeded)
         path = tmp_path / "input.cxt"
         path.write_text(dumps_cxt(ctx))
         code, out, _ = run(capsys, *command.split(), str(path))
