@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .context import FormalContext, _reducible, is_clarified, mask_to_indices
-from .scales import _walk
+from .scales import _classes, _lane_layout, _walk
 
 __all__ = [
     "CubicSet",
@@ -87,8 +87,8 @@ def require_clarified_reduced(ctx: FormalContext) -> None:
         )
 
 
-def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``(attrs, wits)`` of the walked sets that have no scale-carrying superset.
+def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(attrs, lanes)`` of the walked sets that have no scale-carrying superset.
 
     Set A extends by attribute m exactly when some object of its extent
     misses m and every witness class of A keeps an object in col(m); it
@@ -97,35 +97,40 @@ def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], tuple
     and a leaf of the walk has no extension by an m above its last
     attribute, so only leaves are tested, and only against the m below that
     attribute.  For m in A the first test fails, so no membership test is
-    needed, and the test holds on any context.
+    needed, and the test holds on any context.  The k classes stay in the
+    walk's lanes, class i in bits ``[i*(n+1), i*(n+1)+n)`` for n objects
+    with guard bit ``i*(n+1)+n`` 0, and the second test is the walk's own
+    (SWAR: Lamport, "Multiple byte processing with full-word instructions",
+    CACM 1975): m keeps every class when
+    ``((lanes & spread[m]) + low[k]) & guard[k] == guard[k]``.
     """
     cols = ctx.cols()
     full = ctx.all_objects_mask
-    for attrs, wits, forbidden, leaf in _walk(ctx):
+    spread, low, guard = _lane_layout(ctx)
+    for attrs, lanes, forbidden, leaf in _walk(ctx):
         if not leaf:
             continue
         extent = full & ~forbidden
+        k = len(attrs)
+        low_k, guard_k = low[k], guard[k]
         # A column that extends the leaf breaks out of the loop; a leaf with
         # none is cubic.  Plain loops run about twice as fast as any()/all()
         # over generators in this, the hot part of influence.
-        for col in cols[: attrs[-1]]:
-            if extent & ~col:
-                for w in wits:
-                    if not w & col:
-                        break
-                else:
-                    break
+        for col, spread_m in zip(cols[: attrs[-1]], spread):
+            if extent & ~col and ((lanes & spread_m) + low_k) & guard_k == guard_k:
+                break
         else:
-            yield attrs, wits
+            yield attrs, lanes
 
 
 def cubic_sets(ctx: FormalContext, *, require_preprocessed: bool = True) -> list[CubicSet]:
     """All maximal scale-carrying attribute sets with their witness classes."""
     if require_preprocessed:
         require_clarified_reduced(ctx)
+    n = ctx.n_objects
     return [
-        CubicSet(attrs, len(attrs), tuple(map(mask_to_indices, wits)))
-        for attrs, wits in _cubic_families(ctx)
+        CubicSet(attrs, len(attrs), tuple(map(mask_to_indices, _classes(lanes, n))))
+        for attrs, lanes in _cubic_families(ctx)
     ]
 
 

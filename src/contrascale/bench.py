@@ -13,7 +13,7 @@ from .adjust import delta_adjust, _delta_fraction
 from .context import FormalContext, SubcontextSelection, apply_selection, indices_to_mask
 from .lattice import canonical_base
 from .rng import SplitMix64, derive_seed
-from .scales import ALGORITHMS, _bronkerbosch_scales, _walk
+from .scales import ALGORITHMS, _bronkerbosch_scales, _family_size, _walk
 from .tree import train_tree
 
 __all__ = [
@@ -238,7 +238,8 @@ def benchmark_enumeration(
         max_dim = 0
         finished = True
         if algorithm == "backtracking":
-            items = ((len(a), math.prod(map(int.bit_count, w))) for a, w, _, _ in _walk(ctx))
+            n = ctx.n_objects
+            items = ((len(a), _family_size(lanes, n)) for a, lanes, _, _ in _walk(ctx))
         else:
             items = ((s.dimension, 1) for s in _bronkerbosch_scales(ctx))
         for dimension, scales in items:

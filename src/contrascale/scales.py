@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .context import (
@@ -189,29 +188,82 @@ class BipartiteGraph:
 # -- backtracking enumeration ------------------------------------------------
 
 
-def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, bool]]:
-    """Raw ``(attrs, wits, forbidden, leaf)`` of every scale-carrying attribute set.
+def _lane_layout(ctx: FormalContext) -> tuple[list[int], list[int], list[int]]:
+    """``(spread, low, guard)``: the masks of the lane test described in ``_walk``.
+
+    ``spread[m]`` is col(m) copied into every lane, ``low[k]`` holds the
+    all-objects mask 2**n - 1 in lanes 0..k-1 and ``guard[k]`` their guard
+    bits.
+    """
+    n = ctx.n_objects
+    lane = (1 << n + 1) - 1
+    # repunits[k] has bit 0 of lanes 0..k-1 set.
+    repunits = [((1 << k * (n + 1)) - 1) // lane for k in range(ctx.n_attributes + 1)]
+    spread = [col * repunits[-1] for col in ctx.cols()]
+    low = [ctx.all_objects_mask * r for r in repunits]
+    guard = [r << n for r in repunits]
+    return spread, low, guard
+
+
+def _classes(lanes: int, n_objects: int) -> tuple[int, ...]:
+    """The witness masks held in ``lanes``, lane 0 first.
+
+    Walked lanes are never 0, so shifting stops after the last class.
+    """
+    full = (1 << n_objects) - 1
+    classes = []
+    while lanes:
+        classes.append(lanes & full)
+        lanes >>= n_objects + 1
+    return tuple(classes)
+
+
+def _family_size(lanes: int, n_objects: int) -> int:
+    """Number of scales of a walked family: the product of its class sizes."""
+    full = (1 << n_objects) - 1
+    size = 1
+    while lanes:
+        size *= (lanes & full).bit_count()
+        lanes >>= n_objects + 1
+    return size
+
+
+def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
+    """Raw ``(attrs, lanes, forbidden, leaf)`` of every scale-carrying attribute set.
 
     Sets come in canonical order: depth-first by ascending attribute index,
-    which equals sorting by the attribute tuple.  ``wits`` are the witness
-    masks of the family, ``forbidden`` is the complement of the extent of
-    ``attrs`` (the objects that miss one of its attributes), and ``leaf``
-    says that no set ``attrs + (m,)`` carries a scale.
+    which equals sorting by the attribute tuple.  ``lanes`` holds the k
+    witness masks of the family in one int: with n objects, class i sits in
+    bits ``[i*(n+1), i*(n+1)+n)``, its lane, and the lane's guard bit
+    ``i*(n+1)+n`` stays 0 (``_classes`` unpacks them).  ``forbidden`` is the
+    complement of the extent of ``attrs`` (the objects that miss one of its
+    attributes), and ``leaf`` says that no set ``attrs + (m,)`` carries a
+    scale.
 
     Extending A by m needs an object outside ``forbidden`` that misses m and
-    an object of ``col(m)`` in every witness class.  Both tests only get
-    harder as A grows, so a child A + (x,) tests just the m > x that passed
-    for A; the stack carries that survivor mask with each unvisited sibling.
-    Each set is yielded as soon as its children are tested.
+    an object of ``col(m)`` in every witness class.  For the second test one
+    AND with ``spread[m]`` filters all k classes, and adding ``low[k]`` puts
+    2**n - 1 into each lane, which carries into the lane's guard bit exactly
+    when the lane is not 0 and never into the next lane; so every class kept
+    an object when ``(filtered + low[k]) & guard[k] == guard[k]`` (SWAR:
+    Lamport, "Multiple byte processing with full-word instructions", CACM
+    1975).  The new class is ORed in as lane k.  Both tests only get harder
+    as A grows, so a child A + (x,) tests just the m > x that passed for A;
+    the stack carries that survivor mask with each unvisited sibling.  Each
+    set is yielded as soon as its children are tested.
     """
     cols = ctx.cols()
+    width = ctx.n_objects + 1
     non_incidence = [ctx.all_objects_mask & ~c for c in cols]
+    spread, low, guard = _lane_layout(ctx)
     # Children are pushed with m descending so that popping visits them in
     # ascending order; child m carries the parent's survivors above m, the
     # only attributes it has left to test.
-    stack = [((), (), 0, ctx.all_attributes_mask)]
+    stack = [((), 0, 0, ctx.all_attributes_mask)]
     while stack:
-        attrs, wits, forbidden, candidates = stack.pop()
+        attrs, lanes, forbidden, candidates = stack.pop()
+        k = len(attrs)
+        low_k, guard_k, shift = low[k], guard[k], k * width
         survivors = 0
         while candidates:
             m = candidates.bit_length() - 1
@@ -219,15 +271,15 @@ def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
             fresh = non_incidence[m] & ~forbidden
             if not fresh:
                 continue
-            filtered = tuple(map(cols[m].__and__, wits))
+            filtered = lanes & spread[m]
             # A class that drains to zero kills every extension as well.
-            if 0 in filtered:
+            if (filtered + low_k) & guard_k != guard_k:
                 continue
-            child = attrs + (m,), filtered + (fresh,), forbidden | non_incidence[m], survivors
+            child = attrs + (m,), filtered | fresh << shift, forbidden | non_incidence[m], survivors
             stack.append(child)
             survivors |= 1 << m
         if attrs:
-            yield attrs, wits, forbidden, not survivors
+            yield attrs, lanes, forbidden, not survivors
 
 
 def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
@@ -240,8 +292,9 @@ def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
     grows).  Each family is built as soon as the walk reaches it, and the
     walk holds only the stack of unvisited siblings.
     """
-    for attrs, wits, _, _ in _walk(ctx):
-        yield ScaleFamily(attrs, wits)
+    n = ctx.n_objects
+    for attrs, lanes, _, _ in _walk(ctx):
+        yield ScaleFamily(attrs, _classes(lanes, n))
 
 
 def _min_dimension_core(
@@ -296,10 +349,11 @@ def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> Sca
     """Scale totals per dimension without materializing the scales."""
     core, _ = _min_dimension_core(ctx, min_dimension)
     least = min_dimension or 0
+    n = core.n_objects
     histogram: dict[int, int] = {}
-    for attrs, wits, _, _ in _walk(core):
+    for attrs, lanes, _, _ in _walk(core):
         dim = len(attrs)
-        histogram[dim] = histogram.get(dim, 0) + prod(map(int.bit_count, wits))
+        histogram[dim] = histogram.get(dim, 0) + _family_size(lanes, n)
     return ScaleCount.from_histogram({k: v for k, v in histogram.items() if k >= least})
 
 

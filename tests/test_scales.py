@@ -172,7 +172,8 @@ class TestRawWalk:
 
     def test_wrapper_streams_the_raw_walk(self, seeded):
         for ctx in _walk_contexts(seeded(313), 20):
-            raw = [(attrs, wits) for attrs, wits, _, _ in scales._walk(ctx)]
+            n = ctx.n_objects
+            raw = [(attrs, scales._classes(lanes, n)) for attrs, lanes, _, _ in scales._walk(ctx)]
             streamed = [(f.attributes, f.witness_masks) for f in iter_scale_families(ctx)]
             assert streamed == raw
 
