@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -80,16 +80,17 @@ def sample_attributes(ctx: FormalContext, n: int, seed: int) -> tuple[int, ...]:
     return tuple(sorted(rng.sample_indices(ctx.n_attributes, n)))
 
 
-def _split_indices(
-    n: int, split_fraction: float, seed: int
-) -> tuple[list[int], list[int]]:
+def _split_masks(n: int, split_fraction: float, seed: int) -> tuple[int, int]:
+    """The train and test object masks of one seeded shuffle of ``n`` objects."""
+    if n < 2:
+        raise ValueError("need at least 2 objects to split")
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
     cut = math.floor(n * split_fraction)
     train, test = order[:cut], order[cut:]
     if not train or not test:
         raise ValueError("split leaves an empty train or test set")
-    return train, test
+    return indices_to_mask(train), indices_to_mask(test)
 
 
 def decision_tree_accuracy(
@@ -103,12 +104,10 @@ def decision_tree_accuracy(
     features = tuple(features)
     if label in features:
         raise ValueError("label attribute must not be among the features")
-    if ctx.n_objects < 2:
-        raise ValueError("need at least 2 objects to split")
-    train, test = _split_indices(ctx.n_objects, split_fraction, seed)
+    train, test = _split_masks(ctx.n_objects, split_fraction, seed)
     cols = ctx.cols()
-    tree = train_tree(cols, cols[label], indices_to_mask(train), features)
-    return tree.accuracy(cols, cols[label], indices_to_mask(test))
+    tree = train_tree(cols, cols[label], train, features)
+    return tree.accuracy(cols, cols[label], test)
 
 
 def _structure_metrics(ctx: FormalContext, attributes: Sequence[int]) -> tuple[int, int]:
@@ -142,51 +141,68 @@ def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> Exper
     arm draws the same number of attributes uniformly from the rest.
     Each repetition trains and scores on a fresh train/test split.
     """
+    return _knowledge_arms(ctx, cfg, (cfg.method,))[0]
+
+
+def _knowledge_arms(
+    ctx: FormalContext, cfg: ExperimentConfig, methods: Sequence[str]
+) -> list[ExperimentResult]:
+    """``run_knowledge_experiment`` for each of ``methods``, in one pass.
+
+    Each repetition draws its label and its split once, and every arm trains
+    and scores on them; the draws come from the same seeds as for one arm
+    alone, so each result equals that arm's own run.
+    """
     if ctx.n_attributes < 2:
         raise ValueError("need at least 2 attributes")
     delta = _delta_fraction(cfg.delta)
     selection = delta_adjust(ctx, delta).attributes
-    records = []
+    cols = ctx.cols()
+    records: list[list[RepetitionRecord]] = [[] for _ in methods]
     for rep in range(cfg.repetitions):
         label = SplitMix64(derive_seed(cfg.seed, rep, _STREAM_LABEL)).randrange(
             ctx.n_attributes
         )
         adjusted = tuple(m for m in selection if m != label)
-        if cfg.method == "adjusted":
-            features = adjusted
-        else:
-            rng = SplitMix64(derive_seed(cfg.seed, rep, _STREAM_FEATURES))
-            others = [m for m in range(ctx.n_attributes) if m != label]
-            features = tuple(
-                sorted(others[i] for i in rng.sample_indices(len(others), len(adjusted)))
-            )
-        if not features:
+        # The sampled arm draws as many features, so both arms fail here alike,
+        # and before the split is drawn.
+        if not adjusted:
             raise ValueError("the feature set is empty; use a larger delta")
-        accuracy = decision_tree_accuracy(
-            ctx,
-            features,
-            label,
-            cfg.split_fraction,
-            derive_seed(cfg.seed, rep, _STREAM_SPLIT),
+        train, test = _split_masks(
+            ctx.n_objects, cfg.split_fraction, derive_seed(cfg.seed, rep, _STREAM_SPLIT)
         )
-        records.append(RepetitionRecord(rep, label, features, accuracy))
-    accs = [r.accuracy for r in records]
-    mean = sum(accs) / len(accs)
-    std = math.sqrt(sum((a - mean) ** 2 for a in accs) / len(accs))
-    if cfg.method == "adjusted":
-        concept_count, base_size = _structure_metrics(ctx, selection)
-    else:
-        concept_count, base_size = _sampled_structure_means(
-            ctx, math.ceil(delta * ctx.n_attributes), 10, cfg.seed
-        )
-    return ExperimentResult(
-        config=cfg,
-        mean_accuracy=mean,
-        std_accuracy=std,
-        concept_count=concept_count,
-        base_size=base_size,
-        repetitions=tuple(records),
-    )
+        labels = cols[label]
+        for method, arm in zip(methods, records):
+            if method == "adjusted":
+                features = adjusted
+            else:
+                rng = SplitMix64(derive_seed(cfg.seed, rep, _STREAM_FEATURES))
+                others = [m for m in range(ctx.n_attributes) if m != label]
+                features = tuple(
+                    sorted(others[i] for i in rng.sample_indices(len(others), len(adjusted)))
+                )
+            tree = train_tree(cols, labels, train, features)
+            arm.append(RepetitionRecord(rep, label, features, tree.accuracy(cols, labels, test)))
+    results = []
+    for method, arm in zip(methods, records):
+        accs = [r.accuracy for r in arm]
+        mean = sum(accs) / len(accs)
+        std = math.sqrt(sum((a - mean) ** 2 for a in accs) / len(accs))
+        if method == "adjusted":
+            concept_count, base_size = _structure_metrics(ctx, selection)
+        else:
+            concept_count, base_size = _sampled_structure_means(
+                ctx, math.ceil(delta * ctx.n_attributes), 10, cfg.seed
+            )
+        results.append(ExperimentResult(
+            config=replace(cfg, method=method),
+            mean_accuracy=mean,
+            std_accuracy=std,
+            concept_count=concept_count,
+            base_size=base_size,
+            repetitions=tuple(arm),
+        ))
+    return results
 
 
 def run_structure_experiment(

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .adjust import (
@@ -29,10 +29,11 @@ from .adjust import (
     select_attributes,
 )
 from .bench import (
+    METHODS,
     ExperimentConfig,
     ExperimentResult,
+    _knowledge_arms,
     benchmark_enumeration,
-    run_knowledge_experiment,
     run_structure_experiment,
 )
 from .context import (
@@ -312,24 +313,38 @@ def _influence_table(report: InfluenceReport, delta: Fraction | None) -> str:
     )
 
 
-def _experiment_payload(result: ExperimentResult) -> dict:
-    """The JSON payload of one experiment arm."""
-    return {
-        "config": {**asdict(result.config), "delta": float(result.config.delta)},
-        "mean_accuracy": result.mean_accuracy,
-        "std_accuracy": result.std_accuracy,
-        "concept_count": result.concept_count,
-        "base_size": result.base_size,
-        "repetitions": [
-            {
-                "index": r.index,
-                "label": r.label_attribute,
-                "features": list(r.features),
-                "accuracy": r.accuracy,
-            }
+def _write_knowledge_json(
+    results: Sequence[ExperimentResult], write: Callable[[str], object]
+) -> None:
+    """Write the experiment arms as JSON, one chunk per arm, then a newline.
+
+    The text equals ``_json`` of the payload, a list of arms or the one arm
+    alone, followed by a newline.  Each arm's header goes through ``_json``;
+    its repetitions are formatted here, as the encoder would indent them.
+    """
+    pad = "  " if len(results) > 1 else ""
+    brace, key, item = pad + "    ", pad + "      ", pad + "        "
+    between_features = ",\n" + item
+    opening = "[\n" if pad else ""
+    for result in results:
+        header = _json({
+            "config": {**asdict(result.config), "delta": float(result.config.delta)},
+            "mean_accuracy": result.mean_accuracy,
+            "std_accuracy": result.std_accuracy,
+            "concept_count": result.concept_count,
+            "base_size": result.base_size,
+        })
+        # The header without its closing "\n}", re-indented to the arm's depth.
+        head = pad + header[:-2].replace("\n", "\n" + pad)
+        repetitions = ",\n".join([
+            f'{brace}{{\n{key}"index": {r.index},\n{key}"label": {r.label_attribute},\n'
+            f'{key}"features": [\n{item}{between_features.join(map(str, r.features))}\n'
+            f'{key}],\n{key}"accuracy": {float.__repr__(r.accuracy)}\n{brace}}}'
             for r in result.repetitions
-        ],
-    }
+        ])
+        write(f'{opening}{head},\n{pad}  "repetitions": [\n{repetitions}\n{pad}  ]\n{pad}}}')
+        opening = ",\n"
+    write("\n]\n" if pad else "\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -502,20 +517,15 @@ def cmd_experiment_structure(args: argparse.Namespace) -> int:
 
 def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    methods = ("adjusted", "sampled") if args.method == "both" else (args.method,)
-    results = [
-        run_knowledge_experiment(
-            ctx,
-            ExperimentConfig(
-                seed=args.seed,
-                delta=_delta_fraction(args.delta),
-                repetitions=args.repetitions,
-                split_fraction=args.split,
-                method=method,
-            ),
-        )
-        for method in methods
-    ]
+    methods = METHODS if args.method == "both" else (args.method,)
+    cfg = ExperimentConfig(
+        seed=args.seed,
+        delta=_delta_fraction(args.delta),
+        repetitions=args.repetitions,
+        split_fraction=args.split,
+        method=methods[0],
+    )
+    results = _knowledge_arms(ctx, cfg, methods)
     if args.csv:
         lines = ["method,mean_accuracy,std_accuracy,concept_count,base_size"]
         lines.extend(
@@ -525,8 +535,8 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
         )
         _emit(args, "\n".join(lines))
     else:
-        payloads = [_experiment_payload(r) for r in results]
-        _emit(args, payloads if len(payloads) > 1 else payloads[0])
+        with _output(args) as write:
+            _write_knowledge_json(results, write)
     return 0
 
 

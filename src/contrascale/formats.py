@@ -71,6 +71,8 @@ def save_context(ctx: FormalContext, target: IO[str] | str | os.PathLike, format
 
 
 def loads_cxt(text: str) -> FormalContext:
+    # Editors on Windows may start the file with a UTF-8 byte order mark.
+    text = text.removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
     def get(idx: int, what: str) -> str:

@@ -44,10 +44,16 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
         limit = (1 << 64) - ((1 << 64) % n)
+        # next_u64 and _mix inlined: this is the hot path of every draw.
+        state = self._state
         while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % n
+            state = (state + _GOLDEN) & _MASK
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+            z ^= z >> 31
+            if z < limit:
+                self._state = state
+                return z % n
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,35 @@ class TestKnowledgeExperiment:
         )
         for a, b in zip(adjusted.repetitions, sampled.repetitions):
             assert a.label_attribute == b.label_attribute
+
+    @pytest.mark.parametrize("repetitions", [1, 7])
+    def test_both_arms_draw_each_label_and_split_once(self, monkeypatch, cli_stdout, repetitions):
+        draws = Counter()
+        derive = bench.derive_seed
+
+        def counted_derive(master, index, stream):
+            draws[stream] += 1
+            return derive(master, index, stream)
+
+        adjusted = []
+        adjust = bench.delta_adjust
+
+        def counted_adjust(*args, **kwargs):
+            adjusted.append(args[0])
+            return adjust(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "derive_seed", counted_derive)
+        monkeypatch.setattr(bench, "delta_adjust", counted_adjust)
+        argv = ["experiment", "knowledge", "--method", "both", "--seed", "5"]
+        cli_stdout(medical_diagnosis(), *argv, "--repetitions", str(repetitions))
+        assert len(adjusted) == 1
+        assert draws == {
+            bench._STREAM_LABEL: repetitions,
+            bench._STREAM_SPLIT: repetitions,
+            bench._STREAM_FEATURES: repetitions,
+            # The sampled arm's structure means: ten attribute samples.
+            bench._STREAM_STRUCTURE: 10,
+        }
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

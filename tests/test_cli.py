@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import contrascale
 from contrascale import cli
+from contrascale.bench import ExperimentConfig, ExperimentResult, RepetitionRecord, _knowledge_arms
 from contrascale.cli import main
 from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
 from contrascale.datasets import medical_diagnosis
@@ -97,6 +100,18 @@ class TestConvert:
         assert code == 2
         assert "'q\\r'" in err
         assert not out_path.exists()
+
+
+    def test_cxt_with_byte_order_mark_loads_from_file_and_stdin(
+        self, capsys, tmp_path, monkeypatch, diagnosis_cxt
+    ):
+        _, expected, _ = run(capsys, "convert", "--to", "csv", diagnosis_cxt)
+        path = tmp_path / "bom.cxt"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(diagnosis_cxt).read_bytes())
+        assert run(capsys, "convert", "--to", "csv", str(path)) == (0, expected, "")
+        with open(path, encoding="utf-8") as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert run(capsys, "convert", "--format", "cxt", "--to", "csv", "-") == (0, expected, "")
 
 
 class TestPreprocess:
@@ -417,6 +432,36 @@ _PINNED_STDOUT = {
     "experiment knowledge --seed 7 --repetitions 50 --csv": {
         "diagnosis": "50b0aee862f593a58d0389cfda87b5265203b8a01436eca4236a760ac221a65d",
     },
+    "experiment knowledge --seed 7 --repetitions 50 --method sampled": {
+        "diagnosis": "02eb5dc09e90275b3f9c0be5519e78f6252fe40034aebb45ecb9194d01a25da2",
+        0: "a2fa501c6b016edff2570bd2df9acc2b0a6627787d274f74ca286b1029be0b01",
+        1: "69f660e1cc93f10684da70f8dbd10d968211f1d75a450b4e5fc43e1086201b01",
+    },
+    "experiment knowledge --seed 7 --repetitions 50 --split 0.3": {
+        "diagnosis": "7a8ea8e525c38ef9b98d926241b5731fa3a7e511beec5c657e62ada2f774dbee",
+        0: "34004c6491d7115564b76a1f392722e129416619285c722a0b1f2268c118986d",
+        1: "cdde509c739c21504011b95c3dc365d4a00decd0e9b5028975844524292591f8",
+    },
+    "experiment knowledge --seed 7 --repetitions 50 --delta 1/3": {
+        "diagnosis": "541f0e0a55f3170b44c4a76a53e902e08870167ba97985b486a26c6a49ed08d7",
+        0: "d94e3a39d5dad7d2fc85060758b9ddd7e570f0295fb613c3f120873b2b78ef8c",
+        1: "8110e45226aa5bae68cc0e559e3defc4c0fa41c01fba9b8261779009ce337b6a",
+    },
+    # The benchmark's knowledge job.
+    "experiment knowledge --seed 7 --repetitions 250 --method both": {
+        "diagnosis": "06f1bc43a6f08e2f0c7f3b1454e6c597d0c3a8edfc0e033698e58dc61aa666cb",
+        0: "7fdbae64b89dbf4341eec46b18254e8990c2c58c3c0cc150ec16553c97154889",
+        1: "6a1baada1e13329899febff96a3acbc9fdf832f6422eec2e07f51616c6847b11",
+    },
+}
+
+# sha256 of the file that ``-o FILE`` writes; stdout stays empty.
+_PINNED_OUTPUT_FILE = {
+    "experiment knowledge --seed 7 --repetitions 50": {
+        "diagnosis": "681edbc88a785a240f16f8acf792698233e53956e7593c0c2b52cb4f514f0025",
+        0: "beb59118cd697698182157590c5cfcccb89e7344457c5a66183c5d8fafe5853f",
+        1: "b57049330bbdc645c48154682a09f97c2e71c159ed5bd31962e91315a3f974c2",
+    },
 }
 
 
@@ -491,6 +536,98 @@ class TestConceptsAndBase:
         code, out, _ = run(capsys, *command.split(), str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, source, digest",
+        [
+            (command, source, digest)
+            for command, digests in _PINNED_OUTPUT_FILE.items()
+            for source, digest in digests.items()
+        ],
+    )
+    def test_output_file_bytes_are_pinned(self, capsys, tmp_path, seeded, command, source, digest):
+        path = tmp_path / "input.cxt"
+        path.write_text(dumps_cxt(_pinned_input(source, seeded)))
+        target = tmp_path / "out.json"
+        code, out, _ = run(capsys, *command.split(), "-o", str(target), str(path))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def _reference_knowledge_json(results):
+    """The ``experiment knowledge`` output as one ``json.dumps`` of the whole payload."""
+    payloads = [
+        {
+            "config": {**dataclasses.asdict(r.config), "delta": float(r.config.delta)},
+            "mean_accuracy": r.mean_accuracy,
+            "std_accuracy": r.std_accuracy,
+            "concept_count": r.concept_count,
+            "base_size": r.base_size,
+            "repetitions": [
+                {
+                    "index": x.index,
+                    "label": x.label_attribute,
+                    "features": list(x.features),
+                    "accuracy": x.accuracy,
+                }
+                for x in r.repetitions
+            ],
+        }
+        for r in results
+    ]
+    return json.dumps(payloads if len(payloads) > 1 else payloads[0], indent=2) + "\n"
+
+
+class TestKnowledgeWriter:
+    @pytest.mark.parametrize(
+        "methods",
+        [("adjusted",), ("sampled",), ("adjusted", "sampled")],
+        ids=["adjusted", "sampled", "both"],
+    )
+    def test_writer_matches_json_dumps_on_random_contexts(self, seeded, methods):
+        rng = seeded(431)
+        written = 0
+        while written < 12:
+            ctx = reduce_context(clarify(random_context(rng, 20, 10))[0])[0]
+            if ctx.n_objects < 4 or ctx.n_attributes < 2:
+                continue
+            cfg = ExperimentConfig(
+                seed=rng.randrange(1 << 64),
+                delta=1,
+                repetitions=1 + rng.randrange(6),
+                split_fraction=(0.3, 0.5, 0.7)[written % 3],
+                method=methods[0],
+            )
+            results = _knowledge_arms(ctx, cfg, methods)
+            chunks = []
+            cli._write_knowledge_json(results, chunks.append)
+            assert "".join(chunks) == _reference_knowledge_json(results)
+            # One chunk per arm, then the closing one.
+            assert len(chunks) == len(methods) + 1
+            written += 1
+
+    def test_writer_matches_json_dumps_on_awkward_numbers(self):
+        records = (
+            RepetitionRecord(0, 4, (0, 1, 17), 0.0),
+            RepetitionRecord(1, 0, (2,), 1.0),
+            RepetitionRecord(2, 11, (1, 3, 5, 8), 1 / 3),
+        )
+        arms = [
+            ExperimentResult(
+                ExperimentConfig(seed=3, delta=Fraction(1, 3), repetitions=3,
+                                 split_fraction=0.25, method=method),
+                mean_accuracy=4 / 9,
+                std_accuracy=0.41573970964154905,
+                concept_count=count,
+                base_size=size,
+                repetitions=records,
+            )
+            for method, count, size in (("adjusted", 29, 11), ("sampled", 12.3, 4.7))
+        ]
+        for results in ([arms[0]], [arms[1]], arms):
+            chunks = []
+            cli._write_knowledge_json(results, chunks.append)
+            assert "".join(chunks) == _reference_knowledge_json(results)
 
 
 class TestExperiments:
@@ -658,6 +795,28 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["both", "adjusted", "sampled"])
+    @pytest.mark.parametrize(
+        "rows, flags, message",
+        [
+            # An empty feature set is found before the split is drawn.
+            (None, "--delta 0 --split 0.05", "the feature set is empty; use a larger delta"),
+            (None, "--split 0.05", "split leaves an empty train or test set"),
+            ([0b01], "", "context has reducible rows or columns; apply reduce_context() first"),
+        ],
+        ids=["empty features", "empty split", "one object"],
+    )
+    def test_knowledge_errors_keep_their_order(
+        self, capsys, tmp_path, diagnosis_cxt, method, rows, flags, message
+    ):
+        path = diagnosis_cxt
+        if rows is not None:
+            path = tmp_path / "small.cxt"
+            path.write_text(dumps_cxt(FormalContext.from_masks(["g"], ["a", "b"], rows)))
+        argv = ["experiment", "knowledge", "--seed", "1", "--repetitions", "3", "--method", method]
+        code, out, err = run(capsys, *argv, *flags.split(), str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_influence_pretty_and_csv_are_exclusive(self, capsys, diagnosis_cxt):
         code, out, err = run(capsys, "influence", "--pretty", "--csv", diagnosis_cxt)
