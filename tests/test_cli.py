@@ -314,7 +314,8 @@ class TestInfluenceAndAdjust:
 # clarified, reduced 42x15 context of density 0.7 (`conftest.reduced_42x15`), or
 # a raw draw of 70x9 or 130x7 at density 0.75 (`_pinned_input`), whose witness
 # classes are wider than a machine word; `influence` and `adjust` refuse raw
-# input, so they get that draw clarified and reduced.
+# input, so they get that draw clarified and reduced.  Raw 18x10 (the shape the
+# `stream-synth` benchmark streams) and 24x11 draws pin the full scale stream.
 _PINNED_STDOUT = {
     "concepts": {
         "diagnosis": "f6d98331641fb81a4a7fff3439e49b2ca1d42fe451907bca2b838a7b7312bea4",
@@ -420,11 +421,19 @@ _PINNED_STDOUT = {
         1: "571f3e7c046f08f901b02a537a6fb039b02bbb8abd926022f717f42e6eb03034",
         2: "5d05e110d4a3470c75c1d1954cfa3371e509a2dcd3b956137495ef80fc4e7361",
     },
+    "scales": {
+        "raw 18x10": "915cbe34e2d3b68a068e257397c78fea74b0e8f8006f24f5c0bd8b6cb8ef3f66",
+        "raw 24x11": "0fd9c311aa1bf2374ba52955d407d5bcc0fc6d55a927d5c20089cc4b0ccdf48f",
+    },
     "scales --pretty": {
         "diagnosis": "4ed8627aee39bc21a8d79ff2bdd14912ccf1b74ef6668bc5a239bc457e1eb078",
+        "raw 18x10": "a2c921a7c94f7416895bbde6622a299d61e12c90ced42b5ef49a4f3771ffb621",
+        "raw 24x11": "6253999e41c2f641e850831d6c32ead89b77fe1f62a3c5c044270bafbb549ef5",
     },
     "scales --min-dim 3": {
         "diagnosis": "8b1fbc3314c903ad1a82861ed572f29b4f5447169cd021446cfc59cfbf486910",
+        "raw 18x10": "3bc995140374cd00b45c6f7ce87042edab83aa85a0635cce082cdbd5ccfce322",
+        "raw 24x11": "185c2be43856aad777451570d2102ad3d1cbbfb4320557c24ca9eb9aff421e10",
     },
     "experiment knowledge --seed 7 --repetitions 50 --method adjusted": {
         "diagnosis": "b21b6b3b5690105e38509aee1af54a6bb958c61cb769875f9767d9a84d93359e",
@@ -461,6 +470,9 @@ _PINNED_OUTPUT_FILE = {
         "diagnosis": "681edbc88a785a240f16f8acf792698233e53956e7593c0c2b52cb4f514f0025",
         0: "beb59118cd697698182157590c5cfcccb89e7344457c5a66183c5d8fafe5853f",
         1: "b57049330bbdc645c48154682a09f97c2e71c159ed5bd31962e91315a3f974c2",
+    },
+    "scales": {
+        "raw 24x11": "0fd9c311aa1bf2374ba52955d407d5bcc0fc6d55a927d5c20089cc4b0ccdf48f",
     },
 }
 
