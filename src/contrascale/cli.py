@@ -256,14 +256,34 @@ def build_parser() -> _Parser:
 # -- text forms -----------------------------------------------------------------
 
 
+class _PairText(dict):
+    """``(g, m) -> objects[g] + attributes[m]``, each pair's text built on first use.
+
+    A large context pays only for the pairs its scales hold.
+    """
+
+    def __init__(self, objects: Sequence[str], attributes: Sequence[str]) -> None:
+        super().__init__()
+        self.objects, self.attributes = objects, attributes
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        g, m = pair
+        text = self[pair] = self.objects[g] + self.attributes[m]
+        return text
+
+
 def _write_scale_lines(
     scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
 ) -> None:
     """Write one ``dim=k; pairs=(g,m),...`` line per scale; a lone newline when there is none."""
+    pair_text = _PairText(
+        [f"({g}," for g in ctx.objects], [f"{m})" for m in ctx.attributes]
+    ).__getitem__
+    headers = [f"dim={k}; pairs=" for k in range(ctx.n_attributes + 1)]
     empty = True
     for scale in scales:
-        pairs = ",".join(f"({ctx.objects[g]},{ctx.attributes[m]})" for g, m in scale.pairs)
-        write(f"dim={scale.dimension}; pairs={pairs}\n")
+        pairs = scale.pairs
+        write(f"{headers[len(pairs)]}{','.join(map(pair_text, pairs))}\n")
         empty = False
     if empty:
         write("\n")
@@ -278,12 +298,17 @@ def _write_scales_json(
     ...]}, ...])`` followed by a newline; each label is encoded once.
     """
     # A pair [g, m] is object g's text followed by attribute m's.
-    objects = [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects]
-    attributes = [f'        {encode_basestring_ascii(m)}\n      ]' for m in ctx.attributes]
+    pair_text = _PairText(
+        [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects],
+        [f'        {encode_basestring_ascii(m)}\n      ]' for m in ctx.attributes],
+    ).__getitem__
+    headers = [f'  {{\n    "dim": {k},\n    "pairs": [\n' for k in range(ctx.n_attributes + 1)]
+    separator = ",\n"
     opening = "[\n"
     for scale in scales:
-        pairs = ",\n".join([objects[g] + attributes[m] for g, m in scale.pairs])
-        write(f'{opening}  {{\n    "dim": {scale.dimension},\n    "pairs": [\n{pairs}\n    ]\n  }}')
+        pairs = scale.pairs
+        body = separator.join(map(pair_text, pairs))
+        write(f'{opening}{headers[len(pairs)]}{body}\n    ]\n  }}')
         opening = ",\n"
     write("[]\n" if opening == "[\n" else "\n]\n")
 

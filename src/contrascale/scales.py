@@ -109,9 +109,13 @@ class ScaleFamily:
         return tuple(mask_to_indices(m) for m in self.witness_masks)
 
     def iter_scales(self) -> Iterator[ContranominalScale]:
-        classes = self.witness_indices()
-        for choice in product(*classes):
-            yield ContranominalScale(tuple(zip(choice, self.attributes)))
+        # Class i as its (object, attributes[i]) pairs, built once per family,
+        # so that each product tuple is already a scale's pairs.
+        classes = [
+            [(g, m) for g in mask_to_indices(w)]
+            for m, w in zip(self.attributes, self.witness_masks)
+        ]
+        return map(ContranominalScale, product(*classes))
 
     def is_valid_in(self, ctx: FormalContext) -> bool:
         """Whether every choice of one object per class is a scale of ``ctx``.

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -279,6 +279,57 @@ class TestFamilyCheck:
         monkeypatch.setattr(scales, "iter_scale_families", lambda ctx: iter([corrupted]))
         with pytest.raises(AssertionError):
             list(enumerate_scales(self.CTX))
+
+
+
+def _zipped_scales(family):
+    """The scales of ``family``, one ``zip`` of each choice of objects with the attributes."""
+    for choice in product(*family.witness_indices()):
+        yield ContranominalScale(tuple(zip(choice, family.attributes)))
+
+
+def _mapped_families(monkeypatch, ctx, min_dimension):
+    """The families ``enumerate_scales`` maps back from the core and streams."""
+    checked = []
+    is_valid_in = ScaleFamily.is_valid_in
+
+    def recorded(family, context):
+        checked.append(family)
+        return is_valid_in(family, context)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScaleFamily, "is_valid_in", recorded)
+        for _ in enumerate_scales(ctx, min_dimension=min_dimension):
+            pass
+    return checked
+
+
+class TestFamilyScales:
+    def _assert_zipped(self, families):
+        for family in families:
+            assert list(family.iter_scales()) == list(_zipped_scales(family))
+
+    def test_random_families(self, seeded):
+        rng = seeded(316)
+        for _ in range(30):
+            self._assert_zipped(iter_scale_families(random_context(rng, 12, 10)))
+
+    def test_contranominal(self):
+        families = list(iter_scale_families(make_contranominal(8)))
+        assert len(families) == 2**8 - 1
+        self._assert_zipped(families)
+
+    def test_families_mapped_back_from_a_core(self, monkeypatch, seeded):
+        rng = seeded(317)
+        contexts = [medical_diagnosis()] + [random_context(rng, 12, 10) for _ in range(20)]
+        gaps = 0
+        for ctx in contexts:
+            families = _mapped_families(monkeypatch, ctx, 3)
+            self._assert_zipped(families)
+            # A class or attribute tuple that skips an index came through the map.
+            _, sel = scales._min_dimension_core(ctx, 3)
+            gaps += sel.object_indices != tuple(range(len(sel.object_indices)))
+        assert gaps
 
 
 class TestMaxDimension:
