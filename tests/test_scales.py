@@ -281,7 +281,6 @@ class TestFamilyCheck:
             list(enumerate_scales(self.CTX))
 
 
-
 def _zipped_scales(family):
     """The scales of ``family``, one ``zip`` of each choice of objects with the attributes."""
     for choice in product(*family.witness_indices()):
@@ -326,7 +325,7 @@ class TestFamilyScales:
         for ctx in contexts:
             families = _mapped_families(monkeypatch, ctx, 3)
             self._assert_zipped(families)
-            # A class or attribute tuple that skips an index came through the map.
+            # A core that drops an object below a kept one renumbers the objects.
             _, sel = scales._min_dimension_core(ctx, 3)
             gaps += sel.object_indices != tuple(range(len(sel.object_indices)))
         assert gaps
