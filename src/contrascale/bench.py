@@ -13,7 +13,7 @@ from .adjust import delta_adjust, _delta_fraction
 from .context import FormalContext, SubcontextSelection, apply_selection, indices_to_mask
 from .lattice import canonical_base
 from .rng import SplitMix64, derive_seed
-from .scales import ALGORITHMS, _bronkerbosch_scales, _family_size, _walk
+from .scales import ALGORITHMS, _bronkerbosch_scales, _family_sizes
 from .tree import train_tree
 
 __all__ = [
@@ -218,7 +218,8 @@ def run_structure_experiment(
     value = _delta_fraction(delta)
     # delta_adjust refuses a raw context before the original's base is walked.
     chosen = delta_adjust(ctx, value).attributes
-    concepts_original, base_original = _structure_metrics(ctx, range(ctx.n_attributes))
+    base = canonical_base(ctx)
+    concepts_original, base_original = base.concepts, len(base)
     concepts_adjusted, base_adjusted = _structure_metrics(ctx, chosen)
     sampled_concepts, sampled_bases = _sampled_structure_means(ctx, len(chosen), samples, seed)
     return {
@@ -254,8 +255,7 @@ def benchmark_enumeration(
         max_dim = 0
         finished = True
         if algorithm == "backtracking":
-            n = ctx.n_objects
-            items = ((len(a), _family_size(lanes, n)) for a, lanes, _, _ in _walk(ctx))
+            items = _family_sizes(ctx)
         else:
             items = ((s.dimension, 1) for s in _bronkerbosch_scales(ctx))
         for dimension, scales in items:

@@ -109,20 +109,14 @@ def generated_sub_meet_semilattice(
     ctx: FormalContext, attributes: Iterable[int]
 ) -> ConceptSet:
     """Smallest meet-closed concept set holding the attribute concepts and the top."""
-    seeds = {ctx.extent_mask(0)}
+    # Meeting a meet-closed set that holds the top with one more column
+    # keeps it meet-closed, and the top's meet adds the column itself.
+    closed = {ctx.extent_mask(0)}
     for m in attributes:
         if not 0 <= m < ctx.n_attributes:
             raise IndexError(f"attribute index {m} out of range")
-        seeds.add(ctx.col(m))
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        mask = frontier.pop()
-        for other in list(closed):
-            inter = mask & other
-            if inter not in closed:
-                closed.add(inter)
-                frontier.append(inter)
+        col = ctx.col(m)
+        closed |= {c & col for c in closed}
     return ConceptSet(_concept_from_extent_mask(ctx, mask) for mask in closed)
 
 
@@ -165,13 +159,9 @@ def is_boolean_suborder(s: ConceptSet, k: int) -> bool:
             if atom & m == atom:
                 fp |= 1 << i
         fingerprint[m] = fp
-    if len(set(fingerprint.values())) != 1 << k:
-        return False
-    for a in masks:
-        for b in masks:
-            if (a & b == a) != (fingerprint[a] & fingerprint[b] == fingerprint[a]):
-                return False
-    return True
+    # An injective fingerprint is an order isomorphism: a & b is in the set
+    # and fp(a & b) = fp(a) & fp(b), so fp(a) <= fp(b) forces a & b == a.
+    return len(set(fingerprint.values())) == 1 << k
 
 
 # -- implications -----------------------------------------------------------

@@ -3,7 +3,8 @@
 A contranominal scale of dimension k is a k x k subcontext whose only
 non-incidences form the diagonal.  The primary enumerator is a depth-first
 backtracking search over attribute subsets; a Bron-Kerbosch clique search on
-the conflict graph serves as an independent cross-check.
+the conflict graph serves as an independent cross-check.  Folds over the same
+walk count the scales and find the cubic sets that ``adjust`` scores.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class ContranominalScale:
         atts = [m for _, m in pairs]
         if len(set(objs)) != len(objs) or len(set(atts)) != len(atts):
             return False
-        if list(atts) != sorted(atts):
+        if atts != sorted(atts):
+            return False
+        if min(objs) < 0 or max(objs) >= ctx.n_objects:
+            return False
+        if atts[0] < 0 or atts[-1] >= ctx.n_attributes:
             return False
         for i, (g, _) in enumerate(pairs):
             for j, (_, m) in enumerate(pairs):
@@ -222,16 +227,6 @@ def _classes(lanes: int, n_objects: int) -> tuple[int, ...]:
     return tuple(classes)
 
 
-def _family_size(lanes: int, n_objects: int) -> int:
-    """Number of scales of a walked family: the product of its class sizes."""
-    full = (1 << n_objects) - 1
-    size = 1
-    while lanes:
-        size *= (lanes & full).bit_count()
-        lanes >>= n_objects + 1
-    return size
-
-
 def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
     """Raw ``(attrs, lanes, forbidden, leaf)`` of every scale-carrying attribute set.
 
@@ -284,6 +279,54 @@ def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int, int, bool]
             survivors |= 1 << m
         if attrs:
             yield attrs, lanes, forbidden, not survivors
+
+
+def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(attrs, lanes)`` of the walked sets that have no scale-carrying superset.
+
+    Set A extends by attribute m exactly when some object of its extent
+    misses m and every witness class of A keeps an object in col(m); it
+    suffices to test one-attribute extensions because scale-carrying sets
+    are closed under subsets.  A set with a child in the walk is not cubic,
+    and a leaf of the walk has no extension by an m above its last
+    attribute, so only leaves are tested, and only against the m below that
+    attribute.  For m in A the first test fails, so no membership test is
+    needed, and the test holds on any context.  The second test is the
+    walk's own lane test (see ``_walk``).
+    """
+    cols = ctx.cols()
+    full = ctx.all_objects_mask
+    spread, low, guard = _lane_layout(ctx)
+    for attrs, lanes, forbidden, leaf in _walk(ctx):
+        if not leaf:
+            continue
+        extent = full & ~forbidden
+        k = len(attrs)
+        low_k, guard_k = low[k], guard[k]
+        # A column that extends the leaf breaks out of the loop; a leaf with
+        # none is cubic.  Plain loops run about twice as fast as any()/all()
+        # over generators in this, the hot part of influence.
+        for col, spread_m in zip(cols[: attrs[-1]], spread):
+            if extent & ~col and ((lanes & spread_m) + low_k) & guard_k == guard_k:
+                break
+        else:
+            yield attrs, lanes
+
+
+def _family_sizes(ctx: FormalContext) -> Iterator[tuple[int, int]]:
+    """``(dimension, number of scales)`` of every walked family, in walk order.
+
+    A family's scales are its choices of one object per class, so its size
+    is the product of the class sizes, read lane by lane.
+    """
+    n = ctx.n_objects
+    full = (1 << n) - 1
+    for attrs, lanes, _, _ in _walk(ctx):
+        size = 1
+        while lanes:
+            size *= (lanes & full).bit_count()
+            lanes >>= n + 1
+        yield len(attrs), size
 
 
 def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
@@ -353,11 +396,9 @@ def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> Sca
     """Scale totals per dimension without materializing the scales."""
     core, _ = _min_dimension_core(ctx, min_dimension)
     least = min_dimension or 0
-    n = core.n_objects
     histogram: dict[int, int] = {}
-    for attrs, lanes, _, _ in _walk(core):
-        dim = len(attrs)
-        histogram[dim] = histogram.get(dim, 0) + _family_size(lanes, n)
+    for dim, size in _family_sizes(core):
+        histogram[dim] = histogram.get(dim, 0) + size
     return ScaleCount.from_histogram({k: v for k, v in histogram.items() if k >= least})
 
 
@@ -492,7 +533,7 @@ def scales_from_clarified(
     for scale in scales:
         options = []
         for g, m in scale.pairs:
-            if g >= len(obj_classes) or m >= len(att_classes):
+            if not (0 <= g < len(obj_classes) and 0 <= m < len(att_classes)):
                 raise ValueError("scale does not match the clarification map")
             options.append([(go, mo) for mo in att_classes[m] for go in obj_classes[g]])
         for combo in product(*options):
@@ -522,7 +563,7 @@ def scales_from_reduced(
     seen: set[tuple[tuple[int, int], ...]] = set()
 
     for scale in scales:
-        if any(g >= len(kept_objs) or m >= len(kept_atts) for g, m in scale.pairs):
+        if not all(0 <= g < len(kept_objs) and 0 <= m < len(kept_atts) for g, m in scale.pairs):
             raise ValueError("scale does not match the reduction trace")
         base_pairs = [(kept_objs[g], kept_atts[m]) for g, m in scale.pairs]
         h_mask = 0

@@ -273,6 +273,7 @@ class TestScaleStream:
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
 

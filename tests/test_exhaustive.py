@@ -1,4 +1,4 @@
-"""Bounded-exhaustive checks of the scale stream and its writers.
+"""Bounded-exhaustive checks of the scale stream, its writers and the cubic sets.
 
 Every context up to 4x4, and every 3x5 and 5x3 one, is checked against the
 oracles.  Rows are drawn as sorted multisets, because the order of the rows
@@ -11,6 +11,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from contrascale import cli
+from contrascale.adjust import cubic_sets, influence
 from contrascale.context import FormalContext
 from contrascale.scales import (
     count_scales,
@@ -18,6 +19,7 @@ from contrascale.scales import (
     enumerate_bruteforce,
     enumerate_scales,
 )
+from test_adjust import bruteforce_cubic_oracle
 from test_cli import _reference_json
 
 SHAPES = [(n, m) for n in range(5) for m in range(5)] + [(3, 5), (5, 3)]
@@ -55,3 +57,16 @@ def test_scale_stream_on_every_context(n_objects, n_attributes):
         lines = []
         cli._write_scale_lines(stream, ctx, lines.append)
         assert "".join(lines) == _reference_lines(ctx, stream)
+
+
+@pytest.mark.parametrize("n_objects, n_attributes", SHAPES, ids=[f"{n}x{m}" for n, m in SHAPES])
+def test_cubic_sets_on_every_context(n_objects, n_attributes):
+    for ctx in _row_sorted_contexts(n_objects, n_attributes):
+        expected = bruteforce_cubic_oracle(ctx)
+        assert cubic_sets(ctx, require_preprocessed=False) == expected
+        counts = [Counter() for _ in range(n_attributes)]
+        for cube in expected:
+            for m in cube.attributes:
+                counts[m][cube.dimension] += 1
+        report = influence(ctx, require_preprocessed=False)
+        assert [a.cubic_counts for a in report.per_attribute] == counts

@@ -2,7 +2,7 @@
 
 from math import prod
 
-from contrascale import adjust, scales
+from contrascale import scales
 from contrascale.context import FormalContext, make_contranominal
 from conftest import context_from_rows, random_context
 
@@ -66,10 +66,11 @@ def _assert_walks_agree(ctx):
     for attrs, lanes, forbidden, leaf in scales._walk(ctx):
         classes = _unpack(lanes, n, len(attrs))
         assert scales._classes(lanes, n) == classes
-        assert scales._family_size(lanes, n) == prod(map(int.bit_count, classes))
         unpacked.append((attrs, classes, forbidden, leaf))
     assert unpacked == list(_tuple_walk(ctx))
-    cubic = [(a, _unpack(lanes, n, len(a))) for a, lanes in adjust._cubic_families(ctx)]
+    sizes = [(len(a), prod(map(int.bit_count, c))) for a, c, _, _ in unpacked]
+    assert list(scales._family_sizes(ctx)) == sizes
+    cubic = [(a, _unpack(lanes, n, len(a))) for a, lanes in scales._cubic_families(ctx)]
     assert cubic == list(_tuple_cubic(ctx))
 
 

@@ -207,6 +207,22 @@ class TestOracleEquivalence:
         assert list(enumerate_scales(diag)) == list(enumerate_bronkerbosch(diag))
 
 
+class TestScaleCheck:
+    CTX = make_contranominal(3)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param(((0, 99),), id="attribute-too-large"),
+            pytest.param(((0, -1),), id="attribute-negative"),
+            pytest.param(((5, 0),), id="object-too-large"),
+            pytest.param(((-3, 0), (1, 1)), id="object-negative"),
+        ],
+    )
+    def test_index_outside_the_context_fails(self, pairs):
+        assert not ContranominalScale(pairs).is_valid_in(self.CTX)
+
+
 def _every_scale_valid(family, ctx):
     return all(s.is_valid_in(ctx) for s in family.iter_scales())
 
@@ -430,6 +446,26 @@ class TestReconstruction:
         alien = ContranominalScale(((5, 7),))
         with pytest.raises(ValueError):
             list(scales_from_clarified([alien], cmap))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param(((-1, -1),), id="both-negative"),
+            pytest.param(((0, -1),), id="attribute-negative"),
+            pytest.param(((-1, 0),), id="object-negative"),
+            pytest.param(((3, 0),), id="object-too-large"),
+            pytest.param(((0, 3),), id="attribute-too-large"),
+        ],
+    )
+    def test_index_outside_the_map_rejected(self, pairs):
+        ctx = make_contranominal(3)
+        _, cmap = clarify(ctx)
+        _, trace = reduce_context(ctx)
+        alien = ContranominalScale(pairs)
+        with pytest.raises(ValueError, match="clarification map"):
+            list(scales_from_clarified([alien], cmap))
+        with pytest.raises(ValueError, match="reduction trace"):
+            list(scales_from_reduced([alien], trace, ctx))
 
 
 class TestBipartiteAdapter:
