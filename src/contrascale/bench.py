@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .adjust import delta_adjust, _delta_fraction
-from .context import FormalContext, SubcontextSelection, apply_selection, indices_to_mask
-from .lattice import canonical_base
+from .context import FormalContext, indices_to_mask
+from .lattice import _lectic_walk, canonical_base
 from .rng import SplitMix64, derive_seed
 from .scales import ALGORITHMS, _bronkerbosch_scales, _family_sizes
 from .tree import train_tree
@@ -111,12 +111,13 @@ def decision_tree_accuracy(
 
 
 def _structure_metrics(ctx: FormalContext, attributes: Sequence[int]) -> tuple[int, int]:
-    """Concept and implication counts of ``ctx`` restricted to ``attributes``."""
-    sub = apply_selection(
-        SubcontextSelection(ctx, tuple(range(ctx.n_objects)), tuple(attributes))
-    )
-    base = canonical_base(sub)
-    return base.concepts, len(base)
+    """Concept and implication counts of ``ctx`` restricted to ``attributes``.
+
+    The walk runs on ``ctx`` on an attribute mask, not on a copied
+    subcontext, so every restricted walk shares the context's intent tables.
+    """
+    intents, _, pseudo = _lectic_walk(ctx, indices_to_mask(attributes))
+    return len(intents), len(pseudo)
 
 
 def _sampled_structure_means(

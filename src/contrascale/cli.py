@@ -10,6 +10,7 @@ error; 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -571,8 +572,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+# One parser serves every ``main`` call in a process; ``build_parser`` builds afresh.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -57,7 +57,7 @@ class FormalContext:
     enumeration algorithms walk attribute subsets.
     """
 
-    __slots__ = ("objects", "attributes", "_rows", "_cols")
+    __slots__ = ("objects", "attributes", "_rows", "_cols", "_tables")
 
     def __init__(
         self,
@@ -121,6 +121,7 @@ class FormalContext:
                 cols[low.bit_length() - 1] |= bit
                 rest ^= low
         self._cols: tuple[int, ...] = tuple(cols)
+        self._tables: tuple[tuple[int, ...], ...] | None = None
 
     # -- size and lookups ------------------------------------------------
 
@@ -172,12 +173,47 @@ class FormalContext:
     # -- mask-level derivations (hot path for the algorithms) ------------
 
     def intent_mask(self, object_mask: int) -> int:
+        """Attributes shared by the objects in ``object_mask`` (all attributes for none).
+
+        An extent with more objects than bytes costs one table lookup per 8
+        objects (see ``_intent_tables``); a sparser one ANDs its rows one by one.
+        """
+        if object_mask.bit_length() >> 3 < object_mask.bit_count():
+            tables = self._tables
+            if tables is None:
+                tables = self._intent_tables()
+            # Every table entry lies within the attributes, so -1 is the identity.
+            out = -1
+            for table in tables:
+                out &= table[object_mask & 255]
+                object_mask >>= 8
+                if not object_mask:
+                    return out
+            raise IndexError("object mask has bits beyond the objects")
         out = self.all_attributes_mask
         while object_mask:
             low = object_mask & -object_mask
             out &= self._rows[low.bit_length() - 1]
             object_mask ^= low
         return out
+
+    def _intent_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Per 8 objects, the intent of each subset of them, indexed by its byte.
+
+        Entry ``v`` of table ``k`` is the AND of the rows ``8k + j`` for the
+        set bits ``j`` of ``v``, and entry 0 is every attribute (the "four
+        Russians" trick, Arlazarov et al. 1970).  Built on first use and kept.
+        """
+        full = self.all_attributes_mask
+        rows = self._rows
+        tables = []
+        for base in range(0, len(rows), 8):
+            table = [full]
+            for row in rows[base : base + 8]:
+                table += [t & row for t in table]
+            tables.append(tuple(table))
+        self._tables = tuple(tables)
+        return self._tables
 
     def extent_mask(self, attribute_mask: int) -> int:
         out = self.all_objects_mask
@@ -204,6 +240,20 @@ class FormalContext:
 
     def __hash__(self) -> int:
         return hash((self.objects, self.attributes, self._rows))
+
+    # The intent tables are a cache: pickles and copies hold the incidence only.
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        return None, {
+            "objects": self.objects,
+            "attributes": self.attributes,
+            "_rows": self._rows,
+            "_cols": self._cols,
+        }
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._tables = None
 
     def __repr__(self) -> str:
         return (

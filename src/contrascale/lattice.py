@@ -279,7 +279,9 @@ def is_valid_implication(ctx: FormalContext, imp: Implication) -> bool:
     return premise_extent & conclusion_extent == premise_extent
 
 
-def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+def _lectic_walk(
+    ctx: FormalContext, attributes: int | None = None
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """The intents and the pseudo-intents, in lectic order.
 
     Returns the intent masks, their extent masks and the
@@ -299,8 +301,15 @@ def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[int], list[tuple[i
     L-closure only grows with the set and with L (FCbO: Outrata and
     Vychodil 2012; on the base as in LinCbO: Janostik, Konecny and
     Krajca 2021).
+
+    With an attribute mask N, the walk is that of the context restricted to
+    N, run on ``ctx`` itself: children add attributes of N only, and each
+    intent is ``intent_mask(extent) & N``.  The restricted context's intents
+    are the traces of the original's on N and its columns are the original's,
+    so the masks returned are those of its own walk spread back onto N.
     """
     n = ctx.n_attributes
+    within = ctx.all_attributes_mask if attributes is None else attributes
     cols = ctx.cols()
     intent_mask = ctx.intent_mask
     rules = _RuleIndex()
@@ -309,7 +318,7 @@ def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[int], list[tuple[i
     pseudo: list[tuple[int, int]] = []
 
     def visit(current: int, extent: int) -> None:
-        closed = intent_mask(extent)
+        closed = intent_mask(extent) & within
         if closed == current:
             intents.append(current)
             extents.append(extent)
@@ -317,12 +326,11 @@ def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[int], list[tuple[i
             rules.add(current, closed)
             pseudo.append((current, closed))
 
-    full = ctx.all_attributes_mask
     top = ctx.all_objects_mask
     visit(0, top)
     # A frame is a set, its extent, the attributes left to try as a mask,
     # its witnesses by attribute, and whether it owns that list.
-    stack = [(0, top, full, [0] * n, False)]
+    stack = [(0, top, within, [0] * n, False)]
     while stack:
         current, extent, untried, witnesses, owned = stack.pop()
         while untried:
@@ -342,7 +350,7 @@ def _lectic_walk(ctx: FormalContext) -> tuple[list[int], list[int], list[tuple[i
             child_extent = extent & cols[i]
             visit(candidate, child_extent)
             stack.append((current, extent, untried, witnesses, owned))
-            above = full & ~((bit << 1) - 1)
+            above = within & ~((bit << 1) - 1)
             stack.append((candidate, child_extent, above & ~candidate, witnesses, False))
             break
     return intents, extents, pseudo

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from contrascale import bench, scales
+from contrascale import adjust, bench, cli, context, lattice, scales
 from contrascale.adjust import NotPreprocessedError, delta_adjust
 from contrascale.bench import (
     ExperimentConfig,
@@ -15,12 +15,20 @@ from contrascale.bench import (
     sample_attributes,
 )
 from contrascale.cli import main
-from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
+from contrascale.context import (
+    FormalContext,
+    SubcontextSelection,
+    apply_selection,
+    clarify,
+    make_contranominal,
+    reduce_context,
+)
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 from contrascale.tree import train_tree
-from conftest import random_context
+from contrascale.lattice import canonical_base
+from conftest import count_context_calls, random_context, reduced_42x15
 
 
 class TestSampling:
@@ -341,6 +349,91 @@ class TestStructureExperiment:
         assert main(["experiment", "structure", "--delta", "0.5", str(path)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _count_apply_selection(monkeypatch) -> list:
+    """Count calls to ``apply_selection`` through every module that binds it."""
+    calls = []
+
+    def counted(sel):
+        calls.append(sel)
+        return apply_selection(sel)
+
+    for module in (adjust, bench, cli, context, lattice, scales):
+        if vars(module).get("apply_selection") is apply_selection:
+            monkeypatch.setattr(module, "apply_selection", counted)
+    return calls
+
+
+def _visited_on_subcontexts(ctx, attribute_sets) -> int:
+    """Sets the lectic walks of the subcontexts on ``attribute_sets`` visit."""
+    visited = 0
+    for attributes in attribute_sets:
+        sel = SubcontextSelection(ctx, tuple(range(ctx.n_objects)), tuple(attributes))
+        base = canonical_base(apply_selection(sel))
+        visited += base.concepts + len(base)
+    return visited
+
+
+class TestHowTheExperimentsWalk:
+    """The experiments walk restricted attribute sets on the context itself."""
+
+    @pytest.fixture
+    def inputs(self, seeded, tmp_path):
+        contexts = [medical_diagnosis()] + [reduced_42x15(seeded(24, s)) for s in range(2)]
+        paths = []
+        for i, ctx in enumerate(contexts):
+            path = tmp_path / f"input{i}.cxt"
+            path.write_text(dumps_cxt(ctx))
+            paths.append(str(path))
+        return list(zip(contexts, paths))
+
+    def test_structure_walks_the_original_once_and_copies_no_subcontext(
+        self, capsys, monkeypatch, inputs
+    ):
+        expected = []
+        for ctx, _ in inputs:
+            chosen = delta_adjust(ctx, Fraction(1, 2)).attributes
+            sampled = [
+                sample_attributes(ctx, len(chosen), derive_seed(0, j, bench._STREAM_STRUCTURE))
+                for j in range(10)
+            ]
+            expected.append(
+                _visited_on_subcontexts(ctx, [range(ctx.n_attributes), chosen, *sampled])
+            )
+        bases = []
+        monkeypatch.setattr(bench, "canonical_base", lambda ctx: bases.append(ctx) or canonical_base(ctx))
+        selections = _count_apply_selection(monkeypatch)
+        derivations = count_context_calls(monkeypatch)
+        for (ctx, path), visited in zip(inputs, expected):
+            bases.clear()
+            derivations.clear()
+            assert main(["experiment", "structure", "--delta", "0.5", path]) == 0
+            assert bases == [ctx]
+            assert selections == []
+            # Each set a walk visits costs one intent derivation, and nothing else does.
+            assert derivations == Counter(intent_mask=visited)
+        capsys.readouterr()
+
+    def test_knowledge_copies_no_subcontext(self, capsys, monkeypatch, inputs):
+        expected = []
+        for ctx, _ in inputs:
+            selection = delta_adjust(ctx, Fraction(1, 2)).attributes
+            size = -(-ctx.n_attributes // 2)
+            sampled = [
+                sample_attributes(ctx, size, derive_seed(3, j, bench._STREAM_STRUCTURE))
+                for j in range(10)
+            ]
+            expected.append(_visited_on_subcontexts(ctx, [selection, *sampled]))
+        selections = _count_apply_selection(monkeypatch)
+        derivations = count_context_calls(monkeypatch)
+        for (ctx, path), visited in zip(inputs, expected):
+            derivations.clear()
+            argv = ["experiment", "knowledge", "--seed", "3", "--repetitions", "4", "--method", "both"]
+            assert main([*argv, path]) == 0
+            assert selections == []
+            assert derivations == Counter(intent_mask=visited)
+        capsys.readouterr()
 
 
 class TestBenchmark:

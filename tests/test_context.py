@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from contrascale.context import (
@@ -9,6 +12,7 @@ from contrascale.context import (
     complement,
     derive_attributes,
     derive_objects,
+    indices_to_mask,
     make_contranominal,
     pq_core,
     reduce_context,
@@ -136,6 +140,66 @@ class TestDerivations:
             assert set(derive_attributes(ctx, objs)) <= set(derive_attributes(ctx, sub))
             closure = derive_objects(ctx, derive_attributes(ctx, objs))
             assert set(objs) <= set(closure)
+
+
+CHUNK_BOUNDARY_SIZES = (0, 1, 7, 8, 9, 16, 17, 64, 65)
+
+
+class TestIntentTables:
+    """``intent_mask`` reads 8 objects per table lookup on dense extents."""
+
+    def _extents(self, n, rng):
+        yield ()
+        yield tuple(range(n))
+        if n:
+            yield (n - 1,)
+        for g in range(min(n, 9)):
+            yield (g,)
+        for _ in range(6):
+            picked = rng.sample_indices(n, min(n, 1 + rng.randrange(3)))
+            yield tuple(sorted(picked))
+            yield tuple(g for g in range(n) if rng.randrange(10))
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
+    def test_against_brute_force_at_chunk_boundaries(self, seeded, n):
+        rng = seeded(112, n)
+        for density in (0.1, 0.5, 0.9):
+            ctx = random_context(rng, n, 6, (density,), min_objects=n, min_attributes=6)
+            for objs in self._extents(n, rng):
+                got = ctx.intent_mask(indices_to_mask(objs))
+                assert got == indices_to_mask(brute_derive_attributes(ctx, objs))
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
+    def test_tables_are_built_on_the_first_dense_extent(self, seeded, n):
+        ctx = random_context(seeded(113, n), n, 5, min_objects=n, min_attributes=5)
+        # One object past the first byte is sparse and takes the row loop.
+        if n > 7:
+            ctx.intent_mask(1 << (n - 1))
+        ctx.intent_mask(0)
+        assert ctx._tables is None
+        ctx.intent_mask(ctx.all_objects_mask)
+        assert (ctx._tables is None) == (n == 0)
+        if ctx._tables is not None:
+            assert [len(t) for t in ctx._tables] == [1 << min(8, n - k) for k in range(0, n, 8)]
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
+    def test_bits_beyond_the_objects_are_refused(self, n):
+        ctx = FormalContext.from_masks([f"g{i}" for i in range(n)], ["a"], [1] * n)
+        for mask in (1 << n, (1 << (n + 1)) - 1, 1 << (n + 8)):
+            with pytest.raises(IndexError):
+                ctx.intent_mask(mask)
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
+    def test_equality_hash_and_pickle_ignore_the_tables(self, seeded, n):
+        ctx = random_context(seeded(114, n), n, 6, min_objects=n, min_attributes=6)
+        twin = FormalContext.from_masks(ctx.objects, ctx.attributes, ctx.rows())
+        before = (hash(ctx), pickle.dumps(ctx))
+        ctx.intent_mask(ctx.all_objects_mask)
+        assert ctx == twin and twin == ctx
+        assert (hash(ctx), pickle.dumps(ctx)) == before == (hash(twin), pickle.dumps(twin))
+        for clone in (pickle.loads(before[1]), copy.copy(ctx), copy.deepcopy(ctx)):
+            assert clone == ctx and clone._tables is None
+            assert clone.intent_mask(clone.all_objects_mask) == ctx.intent_mask(ctx.all_objects_mask)
 
 
 class TestComplement:
