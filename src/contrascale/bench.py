@@ -156,8 +156,7 @@ def _knowledge_arms(
     """
     if ctx.n_attributes < 2:
         raise ValueError("need at least 2 attributes")
-    delta = _delta_fraction(cfg.delta)
-    selection = delta_adjust(ctx, delta).attributes
+    selection = delta_adjust(ctx, cfg.delta).attributes
     cols = ctx.cols()
     records: list[list[RepetitionRecord]] = [[] for _ in methods]
     for rep in range(cfg.repetitions):
@@ -192,9 +191,7 @@ def _knowledge_arms(
         if method == "adjusted":
             concept_count, base_size = _structure_metrics(ctx, selection)
         else:
-            concept_count, base_size = _sampled_structure_means(
-                ctx, math.ceil(delta * ctx.n_attributes), 10, cfg.seed
-            )
+            concept_count, base_size = _sampled_structure_means(ctx, len(selection), 10, cfg.seed)
         results.append(ExperimentResult(
             config=replace(cfg, method=method),
             mean_accuracy=mean,

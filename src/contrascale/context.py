@@ -74,11 +74,7 @@ class FormalContext:
                     f"incidence row {g} has {len(cells)} cells, "
                     f"expected {len(self.attributes)}"
                 )
-            mask = 0
-            for m, cell in enumerate(cells):
-                if cell:
-                    mask |= 1 << m
-            rows.append(mask)
+            rows.append(indices_to_mask(m for m, cell in enumerate(cells) if cell))
         self._set_rows(rows)
 
     @classmethod

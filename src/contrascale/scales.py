@@ -228,19 +228,18 @@ def _classes(lanes: int, n_objects: int) -> tuple[int, ...]:
 
 
 def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
-    """Raw ``(attrs, lanes, forbidden, leaf)`` of every scale-carrying attribute set.
+    """Raw ``(attrs, lanes, extent, leaf)`` of every scale-carrying attribute set.
 
     Sets come in canonical order: depth-first by ascending attribute index,
     which equals sorting by the attribute tuple.  ``lanes`` holds the k
     witness masks of the family in one int: with n objects, class i sits in
     bits ``[i*(n+1), i*(n+1)+n)``, its lane, and the lane's guard bit
-    ``i*(n+1)+n`` stays 0 (``_classes`` unpacks them).  ``forbidden`` is the
-    complement of the extent of ``attrs`` (the objects that miss one of its
-    attributes), and ``leaf`` says that no set ``attrs + (m,)`` carries a
-    scale.
+    ``i*(n+1)+n`` stays 0 (``_classes`` unpacks them).  ``extent`` is the
+    object mask of ``attrs``' extent, and ``leaf`` says that no set
+    ``attrs + (m,)`` carries a scale.
 
-    Extending A by m needs an object outside ``forbidden`` that misses m and
-    an object of ``col(m)`` in every witness class.  For the second test one
+    Extending A by m needs an object of the extent that misses m and an
+    object of ``col(m)`` in every witness class.  For the second test one
     AND with ``spread[m]`` filters all k classes, and adding ``low[k]`` puts
     2**n - 1 into each lane, which carries into the lane's guard bit exactly
     when the lane is not 0 and never into the next lane; so every class kept
@@ -253,32 +252,31 @@ def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int, int, bool]
     """
     cols = ctx.cols()
     width = ctx.n_objects + 1
-    non_incidence = [ctx.all_objects_mask & ~c for c in cols]
     spread, low, guard = _lane_layout(ctx)
     # Children are pushed with m descending so that popping visits them in
     # ascending order; child m carries the parent's survivors above m, the
     # only attributes it has left to test.
-    stack = [((), 0, 0, ctx.all_attributes_mask)]
+    stack = [((), 0, ctx.all_objects_mask, ctx.all_attributes_mask)]
     while stack:
-        attrs, lanes, forbidden, candidates = stack.pop()
+        attrs, lanes, extent, candidates = stack.pop()
         k = len(attrs)
         low_k, guard_k, shift = low[k], guard[k], k * width
         survivors = 0
         while candidates:
             m = candidates.bit_length() - 1
             candidates ^= 1 << m
-            fresh = non_incidence[m] & ~forbidden
+            fresh = extent & ~cols[m]
             if not fresh:
                 continue
             filtered = lanes & spread[m]
             # A class that drains to zero kills every extension as well.
             if (filtered + low_k) & guard_k != guard_k:
                 continue
-            child = attrs + (m,), filtered | fresh << shift, forbidden | non_incidence[m], survivors
+            child = attrs + (m,), filtered | fresh << shift, extent & cols[m], survivors
             stack.append(child)
             survivors |= 1 << m
         if attrs:
-            yield attrs, lanes, forbidden, not survivors
+            yield attrs, lanes, extent, not survivors
 
 
 def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -295,12 +293,10 @@ def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int]]
     walk's own lane test (see ``_walk``).
     """
     cols = ctx.cols()
-    full = ctx.all_objects_mask
     spread, low, guard = _lane_layout(ctx)
-    for attrs, lanes, forbidden, leaf in _walk(ctx):
+    for attrs, lanes, extent, leaf in _walk(ctx):
         if not leaf:
             continue
-        extent = full & ~forbidden
         k = len(attrs)
         low_k, guard_k = low[k], guard[k]
         # A column that extends the leaf breaks out of the loop; a leaf with
@@ -404,19 +400,14 @@ def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> Sca
 
 def max_dimension(ctx: FormalContext) -> int:
     """Largest scale dimension; 0 when the incidence is full."""
-    return count_scales(ctx).max_dimension
+    return max((len(attrs) for attrs, _, _, _ in _walk(ctx)), default=0)
 
 
 # -- conflict graph and Bron-Kerbosch cross-check ----------------------------
 
 
 def conflict_graph(ctx: FormalContext) -> ConflictGraph:
-    vertices = [
-        (g, m)
-        for g in range(ctx.n_objects)
-        for m in range(ctx.n_attributes)
-        if not ctx.incident(g, m)
-    ]
+    vertices = to_bipartite(ctx).edges
     edges = []
     for i in range(len(vertices)):
         g, m = vertices[i]
@@ -424,7 +415,7 @@ def conflict_graph(ctx: FormalContext) -> ConflictGraph:
             h, n = vertices[j]
             if ctx.incident(g, n) and ctx.incident(h, m):
                 edges.append((i, j))
-    return ConflictGraph(tuple(vertices), tuple(edges))
+    return ConflictGraph(vertices, tuple(edges))
 
 
 def _maximal_cliques(adj: list[set[int]]) -> Iterator[frozenset[int]]:
@@ -566,9 +557,7 @@ def scales_from_reduced(
         if not all(0 <= g < len(kept_objs) and 0 <= m < len(kept_atts) for g, m in scale.pairs):
             raise ValueError("scale does not match the reduction trace")
         base_pairs = [(kept_objs[g], kept_atts[m]) for g, m in scale.pairs]
-        h_mask = 0
-        for g, _ in base_pairs:
-            h_mask |= 1 << g
+        h_mask = indices_to_mask(g for g, _ in base_pairs)
 
         att_options = []
         for _, m in base_pairs:
@@ -581,9 +570,7 @@ def scales_from_reduced(
         for att_choice in product(*att_options):
             if len(set(att_choice)) != len(att_choice):
                 continue
-            n_mask = 0
-            for m in att_choice:
-                n_mask |= 1 << m
+            n_mask = indices_to_mask(att_choice)
             obj_options = []
             for g, _ in base_pairs:
                 opts = [g]
@@ -624,19 +611,17 @@ def induced_matchings(graph: BipartiteGraph) -> Iterator[tuple[tuple[int, int], 
 
     The edges of the graph are the non-incidences of a context on the same
     vertex sets; induced matchings of size k correspond exactly to scales of
-    dimension k there.
+    dimension k there.  An edge outside the vertex sets raises ``ValueError``.
     """
-    edge_set = set(graph.edges)
-    rows = []
-    for i in range(len(graph.left)):
-        mask = 0
-        for j in range(len(graph.right)):
-            if (i, j) not in edge_set:
-                mask |= 1 << j
-        rows.append(mask)
+    n_left, n_right = len(graph.left), len(graph.right)
+    rows = [(1 << n_right) - 1] * n_left
+    for i, j in graph.edges:
+        if not (0 <= i < n_left and 0 <= j < n_right):
+            raise ValueError(f"edge {(i, j)} is outside the graph's vertex sets")
+        rows[i] &= ~(1 << j)
     ctx = FormalContext.from_masks(
-        [f"L{i}" for i in range(len(graph.left))],
-        [f"R{j}" for j in range(len(graph.right))],
+        [f"L{i}" for i in range(n_left)],
+        [f"R{j}" for j in range(n_right)],
         rows,
     )
     for scale in enumerate_scales(ctx):

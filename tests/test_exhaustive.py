@@ -18,6 +18,7 @@ from contrascale.context import (
     SubcontextSelection,
     apply_selection,
     clarify,
+    indices_to_mask,
     mask_to_indices,
     reduce_context,
 )
@@ -28,10 +29,12 @@ from contrascale.lattice import (
     generated_sub_meet_semilattice,
 )
 from contrascale.scales import (
+    _walk,
     count_scales,
     enumerate_bronkerbosch,
     enumerate_bruteforce,
     enumerate_scales,
+    max_dimension,
 )
 from test_adjust import bruteforce_cubic_oracle
 from test_cli import _reference_json
@@ -67,6 +70,9 @@ def test_scale_stream_on_every_context(n_objects, n_attributes):
         count = count_scales(ctx)
         assert count.total == len(stream)
         assert count.histogram == Counter(s.dimension for s in stream)
+        assert max_dimension(ctx) == max((s.dimension for s in stream), default=0)
+        for attrs, _, extent, _ in _walk(ctx):
+            assert extent == ctx.extent_mask(indices_to_mask(attrs))
         chunks = []
         cli._write_scales_json(stream, ctx, chunks.append)
         assert "".join(chunks) == _reference_json(ctx)

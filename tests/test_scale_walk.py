@@ -63,10 +63,10 @@ def _unpack(lanes, n, k):
 def _assert_walks_agree(ctx):
     n = ctx.n_objects
     unpacked = []
-    for attrs, lanes, forbidden, leaf in scales._walk(ctx):
+    for attrs, lanes, extent, leaf in scales._walk(ctx):
         classes = _unpack(lanes, n, len(attrs))
         assert scales._classes(lanes, n) == classes
-        unpacked.append((attrs, classes, forbidden, leaf))
+        unpacked.append((attrs, classes, ctx.all_objects_mask & ~extent, leaf))
     assert unpacked == list(_tuple_walk(ctx))
     sizes = [(len(a), prod(map(int.bit_count, c))) for a, c, _, _ in unpacked]
     assert list(scales._family_sizes(ctx)) == sizes

@@ -164,11 +164,10 @@ class TestRawWalk:
                 children = [m for m in range(ctx.n_attributes) if attrs + (m,) in walked]
                 assert leaf == (not children)
 
-    def test_forbidden_is_the_complement_of_the_extent(self, seeded):
+    def test_walk_yields_the_extent(self, seeded):
         for ctx in _walk_contexts(seeded(312), 40):
-            for attrs, _, forbidden, _ in scales._walk(ctx):
-                extent = ctx.extent_mask(sum(1 << m for m in attrs))
-                assert forbidden == ctx.all_objects_mask & ~extent
+            for attrs, _, extent, _ in scales._walk(ctx):
+                assert extent == ctx.extent_mask(sum(1 << m for m in attrs))
 
     def test_wrapper_streams_the_raw_walk(self, seeded):
         for ctx in _walk_contexts(seeded(313), 20):
@@ -492,6 +491,12 @@ class TestBipartiteAdapter:
     def test_edgeless_graph_has_no_matchings(self):
         graph = BipartiteGraph(("s0",), ("t0", "t1"), ())
         assert list(induced_matchings(graph)) == []
+
+    @pytest.mark.parametrize("edge", [(5, 0), (0, 7), (-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_edge_outside_the_vertex_sets_is_refused(self, edge):
+        graph = BipartiteGraph(("s0", "s1"), ("t0", "t1"), ((0, 0), (1, 1), edge))
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            list(induced_matchings(graph))
 
     def test_adapter_round_trip(self, seeded):
         rng = seeded(311)
