@@ -46,8 +46,8 @@ class ExperimentConfig:
     method: str = "adjusted"
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+        if self.method not in (*METHODS, "both"):
+            raise ValueError(f"method must be one of {METHODS} or 'both'")
         if not 0 < self.split_fraction < 1:
             raise ValueError("split_fraction must lie strictly between 0 and 1")
         if self.repetitions < 1:
@@ -133,7 +133,9 @@ def _sampled_structure_means(
     return concepts / samples, bases / samples
 
 
-def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> ExperimentResult:
+def run_knowledge_experiment(
+    ctx: FormalContext, cfg: ExperimentConfig
+) -> tuple[ExperimentResult, ...]:
     """Repeatedly predict a random attribute from a method-chosen feature set.
 
     The delta-adjusted selection is computed once on the whole context.  Per
@@ -141,19 +143,13 @@ def run_knowledge_experiment(ctx: FormalContext, cfg: ExperimentConfig) -> Exper
     that selection with the label dropped (never backfilled), the sampled
     arm draws the same number of attributes uniformly from the rest.
     Each repetition trains and scores on a fresh train/test split.
+
+    ``cfg.method`` names one arm or ``"both"``, and the result holds one
+    ``ExperimentResult`` per arm, whose ``config.method`` names it.  The arms
+    share each repetition's label and split, drawn from the same seeds as for
+    one arm alone, so each result equals that arm's own run.
     """
-    return _knowledge_arms(ctx, cfg, (cfg.method,))[0]
-
-
-def _knowledge_arms(
-    ctx: FormalContext, cfg: ExperimentConfig, methods: Sequence[str]
-) -> list[ExperimentResult]:
-    """``run_knowledge_experiment`` for each of ``methods``, in one pass.
-
-    Each repetition draws its label and its split once, and every arm trains
-    and scores on them; the draws come from the same seeds as for one arm
-    alone, so each result equals that arm's own run.
-    """
+    methods = METHODS if cfg.method == "both" else (cfg.method,)
     if ctx.n_attributes < 2:
         raise ValueError("need at least 2 attributes")
     selection = delta_adjust(ctx, cfg.delta).attributes
@@ -200,7 +196,7 @@ def _knowledge_arms(
             base_size=base_size,
             repetitions=tuple(arm),
         ))
-    return results
+    return tuple(results)
 
 
 def run_structure_experiment(

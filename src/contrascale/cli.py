@@ -23,37 +23,34 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import __version__
 from .adjust import (
     InfluenceReport,
-    NotPreprocessedError,
     _delta_fraction,
     delta_adjust,
     influence,
     select_attributes,
 )
 from .bench import (
-    METHODS,
     ExperimentConfig,
     ExperimentResult,
-    _knowledge_arms,
     benchmark_enumeration,
+    run_knowledge_experiment,
     run_structure_experiment,
 )
 from .context import (
     FormalContext,
-    NotClarifiedError,
     SubcontextSelection,
     apply_selection,
     clarify,
     pq_core,
     reduce_context,
 )
-from .formats import ContextParseError, dumps_csv, dumps_cxt, infer_format, load_context
+from .formats import dumps_csv, dumps_cxt, infer_format, load_context
 from .lattice import _lectic_walk, canonical_base, enumerate_concepts
 from .scales import ALGORITHMS, ContranominalScale, count_scales, enumerate_scales
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
 
-_DataError = (ContextParseError, NotClarifiedError, NotPreprocessedError, ValueError, OSError)
+_DataError = (ValueError, OSError)
 
 
 class _UsageError(Exception):
@@ -96,9 +93,9 @@ def _emit(args: argparse.Namespace, output: object) -> None:
         write(text)
 
 
-def _emit_context(args: argparse.Namespace, ctx: FormalContext) -> None:
-    """Write ``ctx`` in the ``--to`` format."""
-    _emit(args, dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx))
+def _context_text(args: argparse.Namespace, ctx: FormalContext) -> str:
+    """The text of ``ctx`` in the ``--to`` format."""
+    return dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx)
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -377,7 +374,7 @@ def _write_knowledge_json(
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    _emit_context(args, _read_context(args))
+    _emit(args, _context_text(args, _read_context(args)))
     return 0
 
 
@@ -418,10 +415,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         trace_payload["removed_objects"] = [
             {"index": x, "replacement": list(w)} for x, w in trace.removed_objects
         ]
+    # The context text is built first: a label no writer can hold fails
+    # before either file is opened.
+    text = _context_text(args, ctx)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(_json(trace_payload) + "\n")
-    _emit_context(args, ctx)
+    _emit(args, text)
     return 0
 
 
@@ -429,7 +429,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
     selection = pq_core(ctx, args.p, args.q)
     if args.to:
-        _emit_context(args, apply_selection(selection))
+        _emit(args, _context_text(args, apply_selection(selection)))
     else:
         _emit(args, {
             "objects": [ctx.objects[g] for g in selection.object_indices],
@@ -482,7 +482,7 @@ def cmd_adjust(args: argparse.Namespace) -> int:
     selection = delta_adjust(ctx, args.delta)
     if args.to:
         sub = SubcontextSelection(ctx, tuple(range(ctx.n_objects)), selection.attributes)
-        _emit_context(args, apply_selection(sub))
+        _emit(args, _context_text(args, apply_selection(sub)))
     else:
         chosen = set(selection.attributes)
         _emit(args, {
@@ -543,15 +543,14 @@ def cmd_experiment_structure(args: argparse.Namespace) -> int:
 
 def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
     ctx = _read_context(args)
-    methods = METHODS if args.method == "both" else (args.method,)
     cfg = ExperimentConfig(
         seed=args.seed,
         delta=_delta_fraction(args.delta),
         repetitions=args.repetitions,
         split_fraction=args.split,
-        method=methods[0],
+        method=args.method,
     )
-    results = _knowledge_arms(ctx, cfg, methods)
+    results = run_knowledge_experiment(ctx, cfg)
     if args.csv:
         lines = ["method,mean_accuracy,std_accuracy,concept_count,base_size"]
         lines.extend(

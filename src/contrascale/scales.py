@@ -17,8 +17,6 @@ from .context import (
     ClarificationMap,
     FormalContext,
     ReductionTrace,
-    SubcontextSelection,
-    apply_selection,
     indices_to_mask,
     mask_to_indices,
     pq_core,
@@ -340,19 +338,24 @@ def iter_scale_families(ctx: FormalContext) -> Iterator[ScaleFamily]:
         yield ScaleFamily(attrs, _classes(lanes, n))
 
 
-def _min_dimension_core(
-    ctx: FormalContext, min_dimension: int | None
-) -> tuple[FormalContext, SubcontextSelection | None]:
+def _min_dimension_core(ctx: FormalContext, min_dimension: int | None) -> FormalContext:
     """The context to walk for scales of dimension >= ``min_dimension``.
 
     A scale of dimension k lies in the (k-1, k-1)-core, so for k > 1 the walk
-    runs on that core and its selection maps results back; otherwise it runs
-    on ``ctx`` itself and the selection is ``None``.
+    runs on that core, kept on ``ctx``'s own labels and indices: each object
+    outside it gets a full row, and each attribute outside it a full column.
+    An object that misses no attribute and an attribute that no object misses
+    sit in no scale, and the incidences inside the core are unchanged.
     """
     if min_dimension is None or min_dimension <= 1:
-        return ctx, None
+        return ctx
     sel = pq_core(ctx, min_dimension - 1, min_dimension - 1)
-    return apply_selection(sel), sel
+    full = ctx.all_attributes_mask
+    dropped = full & ~indices_to_mask(sel.attribute_indices)
+    rows = [full] * ctx.n_objects
+    for g in sel.object_indices:
+        rows[g] = ctx.row(g) | dropped
+    return FormalContext.from_masks(ctx.objects, ctx.attributes, rows)
 
 
 def enumerate_scales(
@@ -369,31 +372,19 @@ def enumerate_scales(
     stream.  Scales of a clarified or reduced context map back to the
     original through ``scales_from_clarified`` and ``scales_from_reduced``.
     """
-    core, sel = _min_dimension_core(ctx, min_dimension)
     least = min_dimension or 0
-    for family in iter_scale_families(core):
+    for family in iter_scale_families(_min_dimension_core(ctx, min_dimension)):
         if family.dimension < least:
             continue
-        if sel is not None:
-            # Both index maps are increasing, so canonical order is kept.
-            objs = sel.object_indices
-            family = ScaleFamily(
-                tuple(sel.attribute_indices[m] for m in family.attributes),
-                tuple(
-                    indices_to_mask(objs[g] for g in mask_to_indices(w))
-                    for w in family.witness_masks
-                ),
-            )
         assert family.is_valid_in(ctx)
         yield from family.iter_scales()
 
 
 def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> ScaleCount:
     """Scale totals per dimension without materializing the scales."""
-    core, _ = _min_dimension_core(ctx, min_dimension)
     least = min_dimension or 0
     histogram: dict[int, int] = {}
-    for dim, size in _family_sizes(core):
+    for dim, size in _family_sizes(_min_dimension_core(ctx, min_dimension)):
         histogram[dim] = histogram.get(dim, 0) + size
     return ScaleCount.from_histogram({k: v for k, v in histogram.items() if k >= least})
 

@@ -308,7 +308,7 @@ def test_criterion_09_knowledge_experiment():
                 split_fraction=0.5,
                 method=method,
             )
-            results[method] = run_knowledge_experiment(ctx, cfg)
+            (results[method],) = run_knowledge_experiment(ctx, cfg)
         adjusted = results["adjusted"].mean_accuracy
         sampled = results["sampled"].mean_accuracy
         print(
@@ -319,7 +319,7 @@ def test_criterion_09_knowledge_experiment():
         assert adjusted >= sampled - 0.05
         if MUSHROOM_PATH.exists():
             mushroom = load_context(MUSHROOM_PATH, "cxt")
-            result = run_knowledge_experiment(
+            (result,) = run_knowledge_experiment(
                 mushroom,
                 ExperimentConfig(
                     seed=derive_seed(MASTER_SEED, 9, 1),

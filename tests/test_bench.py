@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -187,8 +188,8 @@ class TestKnowledgeExperiment:
     def test_single_repetition_is_deterministic(self):
         ctx = medical_diagnosis()
         cfg = ExperimentConfig(seed=11, repetitions=1, method="adjusted")
-        a = run_knowledge_experiment(ctx, cfg)
-        b = run_knowledge_experiment(ctx, cfg)
+        (a,) = run_knowledge_experiment(ctx, cfg)
+        (b,) = run_knowledge_experiment(ctx, cfg)
         assert a == b
         assert 0.0 <= a.mean_accuracy <= 1.0
 
@@ -196,14 +197,14 @@ class TestKnowledgeExperiment:
         ctx = medical_diagnosis()
         for method in ("adjusted", "sampled"):
             cfg = ExperimentConfig(seed=5, repetitions=40, method=method)
-            result = run_knowledge_experiment(ctx, cfg)
+            (result,) = run_knowledge_experiment(ctx, cfg)
             for record in result.repetitions:
                 assert record.label_attribute not in record.features
 
     def test_accuracy_bounds_and_std(self):
         ctx = medical_diagnosis()
         cfg = ExperimentConfig(seed=7, repetitions=50, method="sampled")
-        result = run_knowledge_experiment(ctx, cfg)
+        (result,) = run_knowledge_experiment(ctx, cfg)
         assert all(0.0 <= r.accuracy <= 1.0 for r in result.repetitions)
         assert result.std_accuracy >= 0.0
 
@@ -211,21 +212,32 @@ class TestKnowledgeExperiment:
         ctx = medical_diagnosis()
         selection = set(delta_adjust(ctx, 0.5).attributes)
         cfg = ExperimentConfig(seed=3, repetitions=20, method="sampled")
-        result = run_knowledge_experiment(ctx, cfg)
+        (result,) = run_knowledge_experiment(ctx, cfg)
         for record in result.repetitions:
             expected = len(selection - {record.label_attribute})
             assert len(record.features) == expected
 
     def test_arms_share_labels_and_splits(self):
         ctx = medical_diagnosis()
-        adjusted = run_knowledge_experiment(
+        (adjusted,) = run_knowledge_experiment(
             ctx, ExperimentConfig(seed=21, repetitions=25, method="adjusted")
         )
-        sampled = run_knowledge_experiment(
+        (sampled,) = run_knowledge_experiment(
             ctx, ExperimentConfig(seed=21, repetitions=25, method="sampled")
         )
         for a, b in zip(adjusted.repetitions, sampled.repetitions):
             assert a.label_attribute == b.label_attribute
+
+    def test_both_equals_adjusted_then_sampled(self, seeded):
+        contexts = [medical_diagnosis()] + [reduced_42x15(seeded(25, s)) for s in range(3)]
+        for ctx in contexts:
+            both = ExperimentConfig(seed=13, repetitions=12, method="both")
+            arms = tuple(
+                run_knowledge_experiment(ctx, replace(both, method=method))[0]
+                for method in ("adjusted", "sampled")
+            )
+            assert run_knowledge_experiment(ctx, both) == arms
+            assert [r.config.method for r in arms] == ["adjusted", "sampled"]
 
     @pytest.mark.parametrize("repetitions", [1, 7])
     def test_both_arms_draw_each_label_and_split_once(self, monkeypatch, cli_stdout, repetitions):
@@ -257,6 +269,7 @@ class TestKnowledgeExperiment:
         }
 
     def test_config_validation(self):
+        assert ExperimentConfig(seed=0, method="both").method == "both"
         with pytest.raises(ValueError):
             ExperimentConfig(seed=0, method="other")
         with pytest.raises(ValueError):
@@ -284,7 +297,7 @@ class TestKnowledgeExperiment:
 
     def test_structure_metrics_match_direct_computation(self):
         ctx = medical_diagnosis()
-        result = run_knowledge_experiment(
+        (result,) = run_knowledge_experiment(
             ctx, ExperimentConfig(seed=2, repetitions=1, method="adjusted")
         )
         assert result.concept_count == 29

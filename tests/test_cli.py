@@ -11,7 +11,12 @@ import pytest
 
 import contrascale
 from contrascale import cli
-from contrascale.bench import ExperimentConfig, ExperimentResult, RepetitionRecord, _knowledge_arms
+from contrascale.bench import (
+    ExperimentConfig,
+    ExperimentResult,
+    RepetitionRecord,
+    run_knowledge_experiment,
+)
 from contrascale.cli import main
 from contrascale.context import FormalContext, clarify, make_contranominal, reduce_context
 from contrascale.datasets import medical_diagnosis
@@ -131,6 +136,17 @@ class TestPreprocess:
         assert processed.n_objects < 3 or processed.n_attributes < 3
         trace = json.loads(trace_path.read_text())
         assert [0, 1] in trace["attribute_classes"]
+
+    def test_failed_run_writes_no_trace(self, capsys, tmp_path):
+        csv_path = tmp_path / "nl.csv"
+        csv_path.write_text(',p,q\n"x\ny",1,0\nc,0,1\n')
+        trace_path, out_path = tmp_path / "t.json", tmp_path / "o.cxt"
+        argv = ["preprocess", "--trace", str(trace_path), "-o", str(out_path)]
+        code, _, err = run(capsys, *argv, str(csv_path))
+        assert code == 2
+        assert "'x\\ny'" in err
+        assert not trace_path.exists()
+        assert not out_path.exists()
 
 
 class TestCore:
@@ -592,12 +608,8 @@ def _reference_knowledge_json(results):
 
 
 class TestKnowledgeWriter:
-    @pytest.mark.parametrize(
-        "methods",
-        [("adjusted",), ("sampled",), ("adjusted", "sampled")],
-        ids=["adjusted", "sampled", "both"],
-    )
-    def test_writer_matches_json_dumps_on_random_contexts(self, seeded, methods):
+    @pytest.mark.parametrize("method", ["adjusted", "sampled", "both"])
+    def test_writer_matches_json_dumps_on_random_contexts(self, seeded, method):
         rng = seeded(431)
         written = 0
         while written < 12:
@@ -609,14 +621,14 @@ class TestKnowledgeWriter:
                 delta=1,
                 repetitions=1 + rng.randrange(6),
                 split_fraction=(0.3, 0.5, 0.7)[written % 3],
-                method=methods[0],
+                method=method,
             )
-            results = _knowledge_arms(ctx, cfg, methods)
+            results = run_knowledge_experiment(ctx, cfg)
             chunks = []
             cli._write_knowledge_json(results, chunks.append)
             assert "".join(chunks) == _reference_knowledge_json(results)
             # One chunk per arm, then the closing one.
-            assert len(chunks) == len(methods) + 1
+            assert len(chunks) == len(results) + 1
             written += 1
 
     def test_writer_matches_json_dumps_on_awkward_numbers(self):

@@ -71,6 +71,12 @@ def test_scale_stream_on_every_context(n_objects, n_attributes):
         assert count.total == len(stream)
         assert count.histogram == Counter(s.dimension for s in stream)
         assert max_dimension(ctx) == max((s.dimension for s in stream), default=0)
+        for k in (2, 3, 4):
+            kept = [s for s in stream if s.dimension >= k]
+            assert list(enumerate_scales(ctx, min_dimension=k)) == kept
+            assert count_scales(ctx, min_dimension=k).histogram == {
+                d: c for d, c in count.histogram.items() if d >= k
+            }
         for attrs, _, extent, _ in _walk(ctx):
             assert extent == ctx.extent_mask(indices_to_mask(attrs))
         chunks = []
