@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from .adjust import delta_adjust, _delta_fraction
 from .context import FormalContext, indices_to_mask
 from .lattice import _lectic_walk, canonical_base
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _stream_seeds, derive_seed
 from .scales import ALGORITHMS, _bronkerbosch_scales, _family_sizes
 from .tree import train_tree
 
@@ -155,24 +155,23 @@ def run_knowledge_experiment(
     selection = delta_adjust(ctx, cfg.delta).attributes
     cols = ctx.cols()
     records: list[list[RepetitionRecord]] = [[] for _ in methods]
-    for rep in range(cfg.repetitions):
-        label = SplitMix64(derive_seed(cfg.seed, rep, _STREAM_LABEL)).randrange(
-            ctx.n_attributes
-        )
+    seeds = _stream_seeds(
+        cfg.seed, cfg.repetitions, _STREAM_LABEL, _STREAM_SPLIT, _STREAM_FEATURES
+    )
+    for rep, (label_seed, split_seed, features_seed) in enumerate(seeds):
+        label = SplitMix64(label_seed).randrange(ctx.n_attributes)
         adjusted = tuple(m for m in selection if m != label)
         # The sampled arm draws as many features, so both arms fail here alike,
         # and before the split is drawn.
         if not adjusted:
             raise ValueError("the feature set is empty; use a larger delta")
-        train, test = _split_masks(
-            ctx.n_objects, cfg.split_fraction, derive_seed(cfg.seed, rep, _STREAM_SPLIT)
-        )
+        train, test = _split_masks(ctx.n_objects, cfg.split_fraction, split_seed)
         labels = cols[label]
         for method, arm in zip(methods, records):
             if method == "adjusted":
                 features = adjusted
             else:
-                rng = SplitMix64(derive_seed(cfg.seed, rep, _STREAM_FEATURES))
+                rng = SplitMix64(features_seed)
                 others = [m for m in range(ctx.n_attributes) if m != label]
                 features = tuple(
                     sorted(others[i] for i in rng.sample_indices(len(others), len(adjusted)))

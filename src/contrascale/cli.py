@@ -415,13 +415,15 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         trace_payload["removed_objects"] = [
             {"index": x, "replacement": list(w)} for x, w in trace.removed_objects
         ]
-    # The context text is built first: a label no writer can hold fails
-    # before either file is opened.
+    # The text is built, and the output opened, before the trace is written:
+    # a label no writer can hold, or an output that cannot be opened, then
+    # leaves no file behind.
     text = _context_text(args, ctx)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(_json(trace_payload) + "\n")
-    _emit(args, text)
+    with _output(args) as write:
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(_json(trace_payload) + "\n")
+        write(text)
     return 0
 
 

@@ -236,14 +236,19 @@ class _RuleIndex:
             bit, rules = blockers[m]
             blockers[m] = (bit, rules | rule)
 
-    def close(self, mask: int, forbidden: int = 0) -> int:
+    def close(self, mask: int, forbidden: int = 0, upper: int = -1) -> int:
         """Closure of ``mask`` under the rules, cut short once it meets ``forbidden``.
 
         The closure is returned whole when it misses ``forbidden``.  Otherwise
         the result is the first set the closure reaches that meets
         ``forbidden``: it holds ``mask`` and lies inside the closure.
+
+        ``upper`` is a set known to hold the closure, such as the closure of
+        ``mask`` in a context where every rule holds.  The closure stops as
+        soon as it equals ``upper``, since no rule can add more; the default
+        -1 equals no set.
         """
-        if mask & forbidden:
+        if mask & forbidden or mask == upper:
             return mask
         conclusions = self.conclusions
         pending = self.every
@@ -260,7 +265,7 @@ class _RuleIndex:
                 low = fire & -fire
                 mask |= conclusions[low.bit_length() - 1]
                 fire ^= low
-            if mask & forbidden:
+            if mask & forbidden or mask == upper:
                 return mask
 
 
@@ -290,16 +295,23 @@ def _lectic_walk(
     the pseudo-intents (Ganter 2010).  It is a depth-first Close-by-One tree
     on an explicit stack: a set's children add one attribute above the one
     that produced it, in descending order.  That is lectic order, so every
-    pseudo-intent below a candidate is already in L.  A child's extent is its
-    parent's extent AND the new column, since every rule in L holds in the
-    context, so each set costs one ``intent_mask`` call.
+    pseudo-intent below a candidate is already in L.
 
-    A candidate at attribute i fails canonicity, and its L-closure stops,
-    once it meets an attribute below i that the set lacks.  The attributes
-    it met there are kept as a witness: the later siblings and their
-    subtrees skip i while their set misses the witness, because the
-    L-closure only grows with the set and with L (FCbO: Outrata and
-    Vychodil 2012; on the base as in LinCbO: Janostik, Konecny and
+    Every rule in L holds in the context, so a candidate's L-closure keeps
+    its extent, the parent's extent AND the new column, and lies inside its
+    closure C in the context.  The walk derives C first, with one
+    ``intent_mask`` call per candidate tested.  When C misses the
+    attributes below i that the set lacks, so does the L-closure: the
+    candidate is canonical with nothing to test, and its L-closure stops
+    once it reaches C.  Otherwise the L-closure stops once it meets such an
+    attribute, and the candidate fails canonicity if it does.  A canonical
+    candidate is an intent when its L-closure is C, and a pseudo-intent
+    with conclusion C when not.
+
+    The attributes a failed L-closure met are kept as a witness: the later
+    siblings and their subtrees skip i while their set misses the witness,
+    because the L-closure only grows with the set and with L (FCbO: Outrata
+    and Vychodil 2012; on the base as in LinCbO: Janostik, Konecny and
     Krajca 2021).
 
     With an attribute mask N, the walk is that of the context restricted to
@@ -317,8 +329,7 @@ def _lectic_walk(
     extents: list[int] = []
     pseudo: list[tuple[int, int]] = []
 
-    def visit(current: int, extent: int) -> None:
-        closed = intent_mask(extent) & within
+    def visit(current: int, extent: int, closed: int) -> None:
         if closed == current:
             intents.append(current)
             extents.append(extent)
@@ -327,7 +338,7 @@ def _lectic_walk(
             pseudo.append((current, closed))
 
     top = ctx.all_objects_mask
-    visit(0, top)
+    visit(0, top, intent_mask(top) & within)
     # A frame is a set, its extent, the attributes left to try as a mask,
     # its witnesses by attribute, and whether it owns that list.
     stack = [(0, top, within, [0] * n, False)]
@@ -339,16 +350,20 @@ def _lectic_walk(
             untried ^= bit
             if witnesses[i] & ~current:
                 continue
-            forbidden = (bit - 1) & ~current
-            candidate = rules.close(current | bit, forbidden)
-            if candidate & forbidden:
-                if not owned:
-                    witnesses = witnesses.copy()
-                    owned = True
-                witnesses[i] = candidate & forbidden
-                continue
             child_extent = extent & cols[i]
-            visit(candidate, child_extent)
+            closed = intent_mask(child_extent) & within
+            forbidden = (bit - 1) & ~current
+            if closed & forbidden:
+                candidate = rules.close(current | bit, forbidden)
+                if candidate & forbidden:
+                    if not owned:
+                        witnesses = witnesses.copy()
+                        owned = True
+                    witnesses[i] = candidate & forbidden
+                    continue
+            else:
+                candidate = rules.close(current | bit, 0, closed)
+            visit(candidate, child_extent, closed)
             stack.append((current, extent, untried, witnesses, owned))
             above = within & ~((bit << 1) - 1)
             stack.append((candidate, child_extent, above & ~candidate, witnesses, False))

@@ -10,6 +10,8 @@ z *= 0x94D049BB133111EB; z ^= z >> 31``.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 __all__ = ["SplitMix64", "derive_seed"]
 
 _MASK = (1 << 64) - 1
@@ -29,6 +31,19 @@ def derive_seed(master: int, *parts: int) -> int:
     for part in parts:
         state = _mix(state ^ _mix(part + _GOLDEN))
     return state
+
+
+def _stream_seeds(master: int, count: int, *tags: int) -> Iterator[tuple[int, ...]]:
+    """``tuple(derive_seed(master, i, tag) for tag in tags)`` for each i in range(count).
+
+    The master seed and each tag are mixed once, and each index once, instead
+    of once per sub-seed.
+    """
+    state = _mix(master)
+    mixed = [_mix(tag + _GOLDEN) for tag in tags]
+    for i in range(count):
+        indexed = _mix(state ^ _mix(i + _GOLDEN))
+        yield tuple(_mix(indexed ^ tag) for tag in mixed)
 
 
 class SplitMix64:

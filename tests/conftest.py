@@ -9,6 +9,7 @@ import pytest
 from contrascale.cli import main
 from contrascale.context import FormalContext, clarify, reduce_context
 from contrascale.formats import dumps_cxt
+from contrascale.lattice import _RuleIndex
 from contrascale.rng import SplitMix64, derive_seed
 
 
@@ -53,6 +54,20 @@ def count_context_calls(monkeypatch) -> Counter:
 
         # FormalContext has slots, so the method is patched on the class.
         monkeypatch.setattr(FormalContext, name, counted)
+    return calls
+
+
+def count_rule_closures(monkeypatch) -> Counter:
+    """Count calls to ``_RuleIndex.close``, the walk's L-closures, from now on."""
+    calls: Counter = Counter()
+    close = _RuleIndex.close
+
+    def counted(self, *args):
+        calls["close"] += 1
+        return close(self, *args)
+
+    # _RuleIndex has slots, so the method is patched on the class.
+    monkeypatch.setattr(_RuleIndex, "close", counted)
     return calls
 
 

@@ -29,7 +29,7 @@ from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 from contrascale.tree import train_tree
 from contrascale.lattice import canonical_base
-from conftest import count_context_calls, random_context, reduced_42x15
+from conftest import count_context_calls, count_rule_closures, random_context, reduced_42x15
 
 
 class TestSampling:
@@ -248,6 +248,13 @@ class TestKnowledgeExperiment:
             draws[stream] += 1
             return derive(master, index, stream)
 
+        streams = bench._stream_seeds
+
+        def counted_streams(master, count, *tags):
+            for seeds in streams(master, count, *tags):
+                draws.update(tags)
+                yield seeds
+
         adjusted = []
         adjust = bench.delta_adjust
 
@@ -256,6 +263,7 @@ class TestKnowledgeExperiment:
             return adjust(*args, **kwargs)
 
         monkeypatch.setattr(bench, "derive_seed", counted_derive)
+        monkeypatch.setattr(bench, "_stream_seeds", counted_streams)
         monkeypatch.setattr(bench, "delta_adjust", counted_adjust)
         argv = ["experiment", "knowledge", "--method", "both", "--seed", "5"]
         cli_stdout(medical_diagnosis(), *argv, "--repetitions", str(repetitions))
@@ -418,14 +426,18 @@ class TestHowTheExperimentsWalk:
         monkeypatch.setattr(bench, "canonical_base", lambda ctx: bases.append(ctx) or canonical_base(ctx))
         selections = _count_apply_selection(monkeypatch)
         derivations = count_context_calls(monkeypatch)
+        closures = count_rule_closures(monkeypatch)
         for (ctx, path), visited in zip(inputs, expected):
             bases.clear()
             derivations.clear()
+            closures.clear()
             assert main(["experiment", "structure", "--delta", "0.5", path]) == 0
             assert bases == [ctx]
             assert selections == []
-            # Each set a walk visits costs one intent derivation, and nothing else does.
-            assert derivations == Counter(intent_mask=visited)
+            # Each of the 12 walks derives its root's intent, then one intent
+            # per candidate it closes under L; nothing else derives.
+            assert derivations == Counter(intent_mask=closures["close"] + 12)
+            assert derivations["intent_mask"] >= visited
         capsys.readouterr()
 
     def test_knowledge_copies_no_subcontext(self, capsys, monkeypatch, inputs):
@@ -440,12 +452,16 @@ class TestHowTheExperimentsWalk:
             expected.append(_visited_on_subcontexts(ctx, [selection, *sampled]))
         selections = _count_apply_selection(monkeypatch)
         derivations = count_context_calls(monkeypatch)
+        closures = count_rule_closures(monkeypatch)
         for (ctx, path), visited in zip(inputs, expected):
             derivations.clear()
+            closures.clear()
             argv = ["experiment", "knowledge", "--seed", "3", "--repetitions", "4", "--method", "both"]
             assert main([*argv, path]) == 0
             assert selections == []
-            assert derivations == Counter(intent_mask=visited)
+            # 11 walks: the adjusted selection's and 10 sampled ones.
+            assert derivations == Counter(intent_mask=closures["close"] + 11)
+            assert derivations["intent_mask"] >= visited
         capsys.readouterr()
 
 

@@ -23,7 +23,7 @@ from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
 from contrascale.lattice import canonical_base
 from contrascale.scales import enumerate_scales
-from conftest import count_context_calls, random_context, reduced_42x15
+from conftest import count_context_calls, count_rule_closures, random_context, reduced_42x15
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ class TestPreprocess:
         trace = json.loads(trace_path.read_text())
         assert [0, 1] in trace["attribute_classes"]
 
-    def test_failed_run_writes_no_trace(self, capsys, tmp_path):
+    def test_failed_run_writes_no_trace(self, capsys, tmp_path, diagnosis_cxt):
         csv_path = tmp_path / "nl.csv"
         csv_path.write_text(',p,q\n"x\ny",1,0\nc,0,1\n')
         trace_path, out_path = tmp_path / "t.json", tmp_path / "o.cxt"
@@ -147,6 +147,14 @@ class TestPreprocess:
         assert "'x\\ny'" in err
         assert not trace_path.exists()
         assert not out_path.exists()
+        # An output that cannot be opened fails before the trace is written.
+        unopenable = tmp_path / "nodir" / "o.cxt"
+        argv = ["preprocess", "--trace", str(trace_path), "-o", str(unopenable)]
+        code, _, err = run(capsys, *argv, diagnosis_cxt)
+        assert code == 2
+        assert "o.cxt" in err
+        assert not trace_path.exists()
+        assert not unopenable.parent.exists()
 
 
 class TestCore:
@@ -534,20 +542,24 @@ class TestConceptsAndBase:
         ]
         for source in range(2):
             contexts.append(reduced_42x15(seeded(23, source)))
-        # Every set the lectic walk visits is an intent or a pseudo-intent,
-        # and each costs one intent derivation from the extent it inherits.
+        # Every set the lectic walk visits is an intent or a pseudo-intent.
+        # The walk derives the root's intent, then one intent per candidate
+        # it closes under L, each from the extent the candidate inherits.
         visited = [base.concepts + len(base) for base in map(canonical_base, contexts)]
         calls = count_context_calls(monkeypatch)
+        closures = count_rule_closures(monkeypatch)
         per_input = []
-        for ctx in contexts:
+        for ctx, least in zip(contexts, visited):
             path = tmp_path / "input.cxt"
             path.write_text(dumps_cxt(ctx))
             calls.clear()
+            closures.clear()
             assert run(capsys, *command.split(), str(path))[0] == 0
             assert calls["extent_mask"] == calls["closure_mask"] == 0
+            assert calls["intent_mask"] == closures["close"] + 1
+            assert calls["intent_mask"] >= least
             per_input.append(calls["intent_mask"])
-        assert per_input == visited
-        assert per_input[:3] == [88 + 40, 2, 1]
+        assert per_input[:3] == [317, 4, 1]
 
     @pytest.mark.parametrize(
         "command, source, digest",

@@ -28,7 +28,7 @@ from contrascale.lattice import (
     restrict_base_on_removal,
     _RuleIndex,
 )
-from conftest import count_context_calls, random_context
+from conftest import count_context_calls, count_rule_closures, random_context
 
 
 HALF_ADJUSTED = tuple("dehijlno")
@@ -322,6 +322,11 @@ class TestCanonicalBase:
                 if x & mask == mask and all(p & x != p or c & x == c for p, c in rules):
                     closure &= x
             assert _RuleIndex(rules).close(mask) == closure
+            # Stopping at an ``upper`` that is the closure changes no result.
+            assert _RuleIndex(rules).close(mask, 0, closure) == closure
+            assert _RuleIndex(rules).close(mask, forbidden, closure) == _RuleIndex(rules).close(
+                mask, forbidden
+            )
             if closure & forbidden:
                 stopped += 1
                 partial = _RuleIndex(rules).close(mask, forbidden)
@@ -376,14 +381,19 @@ class TestCanonicalBase:
             raw = random_context(rng, 42, 15, densities=(0.7,), min_objects=42, min_attributes=15)
             contexts.append(reduce_context(clarify(raw)[0])[0])
         calls = count_context_calls(monkeypatch)
+        closures = count_rule_closures(monkeypatch)
         per_input = []
         for ctx in contexts:
             calls.clear()
+            closures.clear()
             base = canonical_base(ctx)
-            assert calls["intent_mask"] == base.concepts + len(base)
+            # One derivation for the root, then one derivation and one
+            # L-closure per candidate tested; every visited set is one.
+            assert calls["intent_mask"] == closures["close"] + 1
+            assert calls["intent_mask"] >= base.concepts + len(base)
             assert calls["extent_mask"] == calls["closure_mask"] == 0
             per_input.append(calls["intent_mask"])
-        assert per_input[:3] == [88 + 40, 2, 1]
+        assert per_input[:3] == [317, 4, 1]
 
     def test_sound_and_complete(self, seeded):
         rng = seeded(411)

@@ -101,10 +101,10 @@ class TestLecticWalk:
         calls = 0
         close = _RuleIndex.close
 
-        def counted(self, mask, forbidden=0):
+        def counted(self, *args):
             nonlocal calls
             calls += 1
-            return close(self, mask, forbidden)
+            return close(self, *args)
 
         # _RuleIndex has slots, so the method is patched on the class.
         monkeypatch.setattr(_RuleIndex, "close", counted)

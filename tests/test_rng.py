@@ -1,6 +1,6 @@
 import pytest
 
-from contrascale.rng import SplitMix64, derive_seed
+from contrascale.rng import SplitMix64, _stream_seeds, derive_seed
 
 
 class ReferenceSplitMix64(SplitMix64):
@@ -58,3 +58,12 @@ def test_shuffle_and_sample_indices_match_the_reference(size):
         for k in range(size + 1):
             assert mine.sample_indices(size, k) == reference.sample_indices(size, k)
         assert mine.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("tags", [(), (0,), (0, 1, 2), (3, 0, 7), (2**64 - 1, 5)])
+def test_stream_seeds_equal_derive_seed(tags):
+    for master in _SEEDS[:6] + [-1, 2**70 + 3]:
+        for count in (0, 1, 9):
+            assert list(_stream_seeds(master, count, *tags)) == [
+                tuple(derive_seed(master, i, tag) for tag in tags) for i in range(count)
+            ]
