@@ -415,15 +415,27 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         trace_payload["removed_objects"] = [
             {"index": x, "replacement": list(w)} for x, w in trace.removed_objects
         ]
-    # The text is built, and the output opened, before the trace is written:
-    # a label no writer can hold, or an output that cannot be opened, then
-    # leaves no file behind.
+    # The text is built, and both files opened, before either is emptied or
+    # written; a trace file this run made goes again if the output cannot be
+    # opened.  A label no writer can hold, or a path that cannot be opened,
+    # then leaves no new file behind and no existing one changed.
     text = _context_text(args, ctx)
-    with _output(args) as write:
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(_json(trace_payload) + "\n")
-        write(text)
+    if not args.trace:
+        _emit(args, text)
+        return 0
+    made = not os.path.exists(args.trace)
+    trace = open(args.trace, "a", encoding="utf-8")
+    opened = False
+    try:
+        with trace, _output(args) as write:
+            opened = True
+            trace.truncate(0)
+            trace.write(_json(trace_payload) + "\n")
+            write(text)
+    except OSError:
+        if made and not opened:
+            os.remove(args.trace)
+        raise
     return 0
 
 

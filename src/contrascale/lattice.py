@@ -300,13 +300,11 @@ def _lectic_walk(
     Every rule in L holds in the context, so a candidate's L-closure keeps
     its extent, the parent's extent AND the new column, and lies inside its
     closure C in the context.  The walk derives C first, with one
-    ``intent_mask`` call per candidate tested.  When C misses the
-    attributes below i that the set lacks, so does the L-closure: the
-    candidate is canonical with nothing to test, and its L-closure stops
-    once it reaches C.  Otherwise the L-closure stops once it meets such an
-    attribute, and the candidate fails canonicity if it does.  A canonical
-    candidate is an intent when its L-closure is C, and a pseudo-intent
-    with conclusion C when not.
+    ``intent_mask`` call per candidate tested, and then one L-closure.  That
+    closure stops once it meets an attribute below i that the set lacks, in
+    which case the candidate fails canonicity, or once it equals C, since
+    no rule can add more.  A canonical candidate is an intent when its
+    L-closure is C, and a pseudo-intent with conclusion C when not.
 
     The attributes a failed L-closure met are kept as a witness: the later
     siblings and their subtrees skip i while their set misses the witness,
@@ -353,16 +351,13 @@ def _lectic_walk(
             child_extent = extent & cols[i]
             closed = intent_mask(child_extent) & within
             forbidden = (bit - 1) & ~current
-            if closed & forbidden:
-                candidate = rules.close(current | bit, forbidden)
-                if candidate & forbidden:
-                    if not owned:
-                        witnesses = witnesses.copy()
-                        owned = True
-                    witnesses[i] = candidate & forbidden
-                    continue
-            else:
-                candidate = rules.close(current | bit, 0, closed)
+            candidate = rules.close(current | bit, forbidden, closed)
+            if candidate & forbidden:
+                if not owned:
+                    witnesses = witnesses.copy()
+                    owned = True
+                witnesses[i] = candidate & forbidden
+                continue
             visit(candidate, child_extent, closed)
             stack.append((current, extent, untried, witnesses, owned))
             above = within & ~((bit << 1) - 1)

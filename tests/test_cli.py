@@ -155,6 +155,24 @@ class TestPreprocess:
         assert "o.cxt" in err
         assert not trace_path.exists()
         assert not unopenable.parent.exists()
+        # Nor one that was there before is emptied.
+        trace_path.write_text("old trace")
+        code, _, err = run(capsys, *argv, diagnosis_cxt)
+        assert code == 2
+        assert trace_path.read_text() == "old trace"
+        # A trace that cannot be opened fails before the output is opened,
+        # whether the output is new or already there.
+        unopenable = tmp_path / "nodir" / "t.json"
+        argv = ["preprocess", "--trace", str(unopenable), "-o", str(out_path)]
+        code, _, err = run(capsys, *argv, diagnosis_cxt)
+        assert code == 2
+        assert "t.json" in err
+        assert not out_path.exists()
+        out_path.write_text("old output")
+        code, _, err = run(capsys, *argv, diagnosis_cxt)
+        assert code == 2
+        assert out_path.read_text() == "old output"
+        assert not unopenable.parent.exists()
 
 
 class TestCore:
