@@ -4,9 +4,9 @@ and enumeration timing."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from time import perf_counter
 from typing import Iterable, Sequence
 
 from .adjust import delta_adjust, _delta_fraction
@@ -229,6 +229,10 @@ def run_structure_experiment(
     }
 
 
+class _OverBudget(Exception):
+    """Raised inside a timed run of ``benchmark_enumeration`` once its budget is spent."""
+
+
 def benchmark_enumeration(
     ctx: FormalContext,
     algorithms: Sequence[str] = ALGORITHMS,
@@ -243,22 +247,29 @@ def benchmark_enumeration(
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        start = time.perf_counter()
+        start = perf_counter()
+
+        def check_budget() -> None:
+            if timeout is not None and perf_counter() - start > timeout:
+                raise _OverBudget
+
         total = 0
         max_dim = 0
         finished = True
-        if algorithm == "backtracking":
-            items = _family_sizes(ctx)
-        else:
-            items = ((s.dimension, 1) for s in _bronkerbosch_scales(ctx))
-        for dimension, scales in items:
-            total += scales
-            max_dim = max(max_dim, dimension)
-            if timeout is not None and time.perf_counter() - start > timeout:
-                finished = False
-                break
+        try:
+            if algorithm == "backtracking":
+                items = _family_sizes(ctx)
+            else:
+                # Building the conflict graph can take longer than the search.
+                items = ((s.dimension, 1) for s in _bronkerbosch_scales(ctx, check_budget))
+            for dimension, scales in items:
+                total += scales
+                max_dim = max(max_dim, dimension)
+                check_budget()
+        except _OverBudget:
+            finished = False
         report[algorithm] = {
-            "seconds": time.perf_counter() - start,
+            "seconds": perf_counter() - start,
             "finished": finished,
             "count": total if finished else None,
             "max_dimension": max_dim if finished else None,

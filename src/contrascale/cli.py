@@ -15,26 +15,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .adjust import (
-    InfluenceReport,
-    _delta_fraction,
-    delta_adjust,
-    influence,
-    select_attributes,
-)
-from .bench import (
-    ExperimentConfig,
-    ExperimentResult,
-    benchmark_enumeration,
-    run_knowledge_experiment,
-    run_structure_experiment,
-)
 from .context import (
     FormalContext,
     SubcontextSelection,
@@ -44,8 +27,18 @@ from .context import (
     reduce_context,
 )
 from .formats import dumps_csv, dumps_cxt, infer_format, load_context
-from .lattice import _lectic_walk, canonical_base, enumerate_concepts
 from .scales import ALGORITHMS, ContranominalScale, count_scales, enumerate_scales
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .adjust import InfluenceReport
+    from .bench import ExperimentResult
+
+# Every command needs the modules above.  Each other module is imported by
+# the command that uses it, when it runs, so no other command loads it.  Its
+# names are read from it at each call and never kept here, so a rebinding in
+# that module is seen.
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -295,6 +288,8 @@ def _write_scales_json(
     The text equals ``_json([{"dim": k, "pairs": [[object, attribute],
     ...]}, ...])`` followed by a newline; each label is encoded once.
     """
+    from json.encoder import encode_basestring_ascii
+
     # A pair [g, m] is object g's text followed by attribute m's.
     pair_text = _PairText(
         [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects],
@@ -326,6 +321,8 @@ def _influence_table(report: InfluenceReport, delta: Fraction | None) -> str:
         return ""
     rows = _influence_rows(report)
     if delta is not None:
+        from .adjust import select_attributes
+
         chosen = set(select_attributes(report, delta))
         rows[0].append("selected")
         for a, row in zip(report.per_attribute, rows[1:]):
@@ -345,6 +342,8 @@ def _write_knowledge_json(
     alone, followed by a newline.  Each arm's header goes through ``_json``;
     its repetitions are formatted here, as the encoder would indent them.
     """
+    from dataclasses import asdict
+
     pad = "  " if len(results) > 1 else ""
     brace, key, item = pad + "    ", pad + "      ", pad + "        "
     between_features = ",\n" + item
@@ -386,6 +385,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "density": round(ctx.density, 6),
     }
     if args.full:
+        from .lattice import _lectic_walk
+
         intents, extents, pseudo = _lectic_walk(ctx)
         n = len(intents)
         payload["concepts"] = n
@@ -472,6 +473,8 @@ def cmd_scales(args: argparse.Namespace) -> int:
 
 
 def cmd_influence(args: argparse.Namespace) -> int:
+    from .adjust import _delta_fraction, influence
+
     delta = None if args.delta is None else _delta_fraction(args.delta)
     ctx = _read_context(args)
     report = influence(ctx)
@@ -492,6 +495,8 @@ def cmd_influence(args: argparse.Namespace) -> int:
 
 
 def cmd_adjust(args: argparse.Namespace) -> int:
+    from .adjust import delta_adjust
+
     ctx = _read_context(args)
     selection = delta_adjust(ctx, args.delta)
     if args.to:
@@ -508,6 +513,8 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 
 
 def cmd_concepts(args: argparse.Namespace) -> int:
+    from .lattice import _lectic_walk, enumerate_concepts
+
     ctx = _read_context(args)
     if args.count_only:
         _emit(args, {"concepts": len(_lectic_walk(ctx)[0])})
@@ -523,6 +530,8 @@ def cmd_concepts(args: argparse.Namespace) -> int:
 
 
 def cmd_base(args: argparse.Namespace) -> int:
+    from .lattice import canonical_base
+
     ctx = _read_context(args)
     base = canonical_base(ctx)
     labels = ctx.attributes
@@ -547,6 +556,8 @@ def cmd_base(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment_structure(args: argparse.Namespace) -> int:
+    from .bench import run_structure_experiment
+
     ctx = _read_context(args)
     payload = run_structure_experiment(
         ctx, args.delta, samples=args.samples, seed=args.seed
@@ -556,6 +567,9 @@ def cmd_experiment_structure(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
+    from .adjust import _delta_fraction
+    from .bench import ExperimentConfig, run_knowledge_experiment
+
     ctx = _read_context(args)
     cfg = ExperimentConfig(
         seed=args.seed,
@@ -580,6 +594,8 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import benchmark_enumeration
+
     ctx = _read_context(args)
     _emit(args, benchmark_enumeration(ctx, args.algorithms, timeout=args.timeout))
     return 0

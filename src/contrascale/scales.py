@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .context import (
     ClarificationMap,
@@ -398,9 +398,21 @@ def max_dimension(ctx: FormalContext) -> int:
 
 
 def conflict_graph(ctx: FormalContext) -> ConflictGraph:
+    return _conflict_graph(ctx)
+
+
+def _conflict_graph(
+    ctx: FormalContext, before_row: Callable[[], object] = lambda: None
+) -> ConflictGraph:
+    """``conflict_graph``, calling ``before_row()`` ahead of each vertex's row of edges.
+
+    The build is quadratic in the non-incident pairs; a caller with a time
+    budget stops it by raising from ``before_row``.
+    """
     vertices = to_bipartite(ctx).edges
     edges = []
     for i in range(len(vertices)):
+        before_row()
         g, m = vertices[i]
         for j in range(i + 1, len(vertices)):
             h, n = vertices[j]
@@ -431,14 +443,17 @@ def _clique_subsets(clique: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(members[i] for i in range(len(members)) if bits >> i & 1)
 
 
-def _bronkerbosch_scales(ctx: FormalContext) -> Iterator[ContranominalScale]:
+def _bronkerbosch_scales(
+    ctx: FormalContext, before_row: Callable[[], object] = lambda: None
+) -> Iterator[ContranominalScale]:
     """Scales via cliques of the conflict graph, in discovery order.
 
     Bron-Kerbosch yields the maximal cliques; every clique is then recovered
     by subset expansion with global de-duplication, since any clique of the
-    conflict graph corresponds to exactly one scale.
+    conflict graph corresponds to exactly one scale.  ``before_row`` is
+    ``_conflict_graph``'s.
     """
-    graph = conflict_graph(ctx)
+    graph = _conflict_graph(ctx, before_row)
     if not graph.vertices:
         return
     adj = graph.adjacency()

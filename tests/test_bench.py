@@ -501,7 +501,34 @@ class TestBenchmark:
         report = benchmark_enumeration(medical_diagnosis(), ("bronkerbosch",), timeout=0.0)
         assert not report["bronkerbosch"]["finished"]
         assert report["bronkerbosch"]["count"] is None
-        assert len(cliques) == 1
+        # The budget is spent before the conflict graph is built, so no clique
+        # search starts.
+        assert cliques == []
+
+    def test_timeout_bounds_the_conflict_graph_build(self, monkeypatch):
+        # The clock reads 0, 1, 2, ... s.  A budget of 2.5 s is spent at the
+        # third check, ahead of the graph's third vertex row.
+        ctx = medical_diagnosis()
+        vertices = len(scales.to_bipartite(ctx).edges)
+        readings = iter(range(100))
+        monkeypatch.setattr(bench, "perf_counter", lambda: float(next(readings)))
+        tests = Counter()
+        incident = FormalContext.incident
+
+        def counted(self, g, m):
+            tests["incident"] += 1
+            return incident(self, g, m)
+
+        monkeypatch.setattr(FormalContext, "incident", counted)
+        monkeypatch.setattr(scales, "_maximal_cliques", lambda adj: pytest.fail("search started"))
+        report = benchmark_enumeration(ctx, ("bronkerbosch",), timeout=2.5)
+        assert report["bronkerbosch"] == {
+            "seconds": 4.0, "finished": False, "count": None, "max_dimension": None
+        }
+        # The vertices come from one test per cell.  Two rows hold fewer than
+        # 2 * vertices pairs, each tested at most twice.
+        cells = ctx.n_objects * ctx.n_attributes
+        assert cells < tests["incident"] < cells + 4 * vertices
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import contrascale
-from contrascale import cli
+from contrascale import bench, cli
 from contrascale.bench import (
     ExperimentConfig,
     ExperimentResult,
@@ -795,7 +795,7 @@ class TestBench:
             ran.append(algorithms)
             return {}
 
-        monkeypatch.setattr(cli, "benchmark_enumeration", recorded)
+        monkeypatch.setattr(bench, "benchmark_enumeration", recorded)
         code, _, _ = run(capsys, "bench", "--algorithms", "backtracking,backtracking", k4_cxt)
         assert code == 0
         assert ran == [("backtracking",)]
@@ -895,6 +895,38 @@ class TestErrors:
             capture_output=True, env=env, timeout=60, check=True,
         )
         assert done.stdout.decode().strip() == contrascale.__version__
+
+
+# sha256 of ``--help`` at 80 columns, by subcommand ("" for the program's own).
+# argparse lays options out differently from Python 3.13 on.
+_PINNED_HELP = {
+    "": "864eaef0de18015b0823fe3fe287c359f7ec14a077bba1f0c7aab955d6cb0388",
+    "convert": "8aa231aacb76801b2669bf56aa2b7917fe4ca15c9f8bc23a92373e934f36c96a",
+    "stats": "702220fb6e6595fae95272f3ba0d92e50f9a385a75b5bfb495d3485221f63741",
+    "preprocess": "2c1b5ea85468cff8a5f1635475abb9034097c0fd4480ed7b7f576892ea0a3322",
+    "core": "a1e3e8b0cc7bfb9a3eead5a7d4380adc073bfe5fffc1ce9823959fc860f114fb",
+    "scales": "5259a77be6b041d471e8dcb3ffa51fa80f312ba5d1e7530e5f2cb8624415f37a",
+    "influence": "c13379c86c40526fd3b7efc4ca04926ef3d5a45287378759d6e11ede4b707a83",
+    "adjust": "a9fafb1638f209b7bbe8fb207634e7b77937996358f05a7d0bd92be5cc38b25b",
+    "concepts": "c70ec3bcd4cc2b5339c7581d46c952e5c9db476c7a4e31002345cef7f57c81c9",
+    "base": "081425318af828ab35ccc4fbae2fcd385c6b5652f0678b3cf8237caac13d9d18",
+    "experiment": "b01e5e768a8496b12e058d5d616e4e268dd0b60b1680897982df7fada810367d",
+    "experiment structure": "5a5bcc456febd27f3f97d3c21719ef02c7a131bf9af19ef8783c5473afd98694",
+    "experiment knowledge": "4998338e2897f36f6cc41b56dd560ccc56a25d1c48d91384484f7534b398c345",
+    "bench": "5bb117882970e5b123e5bd3ef4f189655f261b89180a1d47254de4a67febd53c",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="help pinned as argparse 3.10-3.12 lays it out")
+@pytest.mark.parametrize(
+    "command, digest", _PINNED_HELP.items(), ids=[c or "contrascale" for c in _PINNED_HELP]
+)
+def test_help_text_is_pinned(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([*command.split(), "--help"])
+    assert done.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # Subcommands that need a clarified and reduced context, or two attributes.
