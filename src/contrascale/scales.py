@@ -195,21 +195,29 @@ class BipartiteGraph:
 # -- backtracking enumeration ------------------------------------------------
 
 
-def _lane_layout(ctx: FormalContext) -> tuple[list[int], list[int], list[int]]:
-    """``(spread, low, guard)``: the masks of the lane test described in ``_walk``.
+def _lane_layout(
+    ctx: FormalContext,
+) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int, int]]]:
+    """``(tables, depths)``: the masks of the lane test described in ``_walk``.
 
-    ``spread[m]`` is col(m) copied into every lane, ``low[k]`` holds the
-    all-objects mask 2**n - 1 in lanes 0..k-1 and ``guard[k]`` their guard
-    bits.
+    ``tables[m]`` is ``(1 << m, all objects & ~col(m), col(m), spread[m])``,
+    where ``spread[m]`` is col(m) copied into every lane.  ``depths[k]`` is
+    ``(low[k], guard[k], k * (n + 1))``: ``low[k]`` holds the all-objects mask
+    2**n - 1 in lanes 0..k-1, ``guard[k]`` their guard bits, and the shift
+    puts a new class into lane k.
     """
     n = ctx.n_objects
-    lane = (1 << n + 1) - 1
+    width = n + 1
+    all_objects = ctx.all_objects_mask
+    lane = (1 << width) - 1
     # repunits[k] has bit 0 of lanes 0..k-1 set.
-    repunits = [((1 << k * (n + 1)) - 1) // lane for k in range(ctx.n_attributes + 1)]
-    spread = [col * repunits[-1] for col in ctx.cols()]
-    low = [ctx.all_objects_mask * r for r in repunits]
-    guard = [r << n for r in repunits]
-    return spread, low, guard
+    repunits = [((1 << k * width) - 1) // lane for k in range(ctx.n_attributes + 1)]
+    tables = [
+        (1 << m, all_objects & ~col, col, col * repunits[-1])
+        for m, col in enumerate(ctx.cols())
+    ]
+    depths = [(all_objects * r, r << n, k * width) for k, r in enumerate(repunits)]
+    return tables, depths
 
 
 def _classes(lanes: int, n_objects: int) -> tuple[int, ...]:
@@ -246,35 +254,43 @@ def _walk(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int, int, bool]
     1975).  The new class is ORed in as lane k.  Both tests only get harder
     as A grows, so a child A + (x,) tests just the m > x that passed for A;
     the stack carries that survivor mask with each unvisited sibling.  Each
-    set is yielded as soon as its children are tested.
+    set is yielded as soon as its children are tested, and a set with no
+    survivors to test is a leaf at once.
     """
-    cols = ctx.cols()
-    width = ctx.n_objects + 1
-    spread, low, guard = _lane_layout(ctx)
+    tables, depths = _lane_layout(ctx)
     # Children are pushed with m descending so that popping visits them in
     # ascending order; child m carries the parent's survivors above m, the
-    # only attributes it has left to test.
-    stack = [((), 0, ctx.all_objects_mask, ctx.all_attributes_mask)]
+    # only attributes it has left to test.  The root has no classes, so its
+    # children need only the first test, and the root itself is not yielded.
+    stack = []
+    push, pop = stack.append, stack.pop
+    survivors = 0
+    for m in reversed(range(len(tables))):
+        bit, fresh, col, _ = tables[m]
+        if fresh:
+            push(((m,), fresh, col, survivors))
+            survivors |= bit
     while stack:
-        attrs, lanes, extent, candidates = stack.pop()
-        k = len(attrs)
-        low_k, guard_k, shift = low[k], guard[k], k * width
+        attrs, lanes, extent, candidates = pop()
+        if not candidates:
+            yield attrs, lanes, extent, True
+            continue
+        low, guard, shift = depths[len(attrs)]
         survivors = 0
         while candidates:
             m = candidates.bit_length() - 1
-            candidates ^= 1 << m
-            fresh = extent & ~cols[m]
+            bit, outside, col, spread = tables[m]
+            candidates ^= bit
+            fresh = extent & outside
             if not fresh:
                 continue
-            filtered = lanes & spread[m]
+            filtered = lanes & spread
             # A class that drains to zero kills every extension as well.
-            if (filtered + low_k) & guard_k != guard_k:
+            if (filtered + low) & guard != guard:
                 continue
-            child = attrs + (m,), filtered | fresh << shift, extent & cols[m], survivors
-            stack.append(child)
-            survivors |= 1 << m
-        if attrs:
-            yield attrs, lanes, extent, not survivors
+            push((attrs + (m,), filtered | fresh << shift, extent & col, survivors))
+            survivors |= bit
+        yield attrs, lanes, extent, not survivors
 
 
 def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -290,18 +306,16 @@ def _cubic_families(ctx: FormalContext) -> Iterator[tuple[tuple[int, ...], int]]
     needed, and the test holds on any context.  The second test is the
     walk's own lane test (see ``_walk``).
     """
-    cols = ctx.cols()
-    spread, low, guard = _lane_layout(ctx)
+    tables, depths = _lane_layout(ctx)
     for attrs, lanes, extent, leaf in _walk(ctx):
         if not leaf:
             continue
-        k = len(attrs)
-        low_k, guard_k = low[k], guard[k]
+        low, guard, _ = depths[len(attrs)]
         # A column that extends the leaf breaks out of the loop; a leaf with
         # none is cubic.  Plain loops run about twice as fast as any()/all()
         # over generators in this, the hot part of influence.
-        for col, spread_m in zip(cols[: attrs[-1]], spread):
-            if extent & ~col and ((lanes & spread_m) + low_k) & guard_k == guard_k:
+        for _, outside, _, spread in tables[: attrs[-1]]:
+            if extent & outside and ((lanes & spread) + low) & guard == guard:
                 break
         else:
             yield attrs, lanes
@@ -313,13 +327,15 @@ def _family_sizes(ctx: FormalContext) -> Iterator[tuple[int, int]]:
     A family's scales are its choices of one object per class, so its size
     is the product of the class sizes, read lane by lane.
     """
-    n = ctx.n_objects
-    full = (1 << n) - 1
+    width = ctx.n_objects + 1
+    full = ctx.all_objects_mask
     for attrs, lanes, _, _ in _walk(ctx):
-        size = 1
+        # Walked sets are nonempty, so lane 0 always holds a class.
+        size = (lanes & full).bit_count()
+        lanes >>= width
         while lanes:
             size *= (lanes & full).bit_count()
-            lanes >>= n + 1
+            lanes >>= width
         yield len(attrs), size
 
 
@@ -383,10 +399,15 @@ def enumerate_scales(
 def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> ScaleCount:
     """Scale totals per dimension without materializing the scales."""
     least = min_dimension or 0
-    histogram: dict[int, int] = {}
-    for dim, size in _family_sizes(_min_dimension_core(ctx, min_dimension)):
-        histogram[dim] = histogram.get(dim, 0) + size
-    return ScaleCount.from_histogram({k: v for k, v in histogram.items() if k >= least})
+    core = _min_dimension_core(ctx, min_dimension)
+    # Every family holds at least one scale, so a dimension with no family
+    # is exactly one whose total stays 0.
+    totals = [0] * (core.n_attributes + 1)
+    for dim, size in _family_sizes(core):
+        totals[dim] += size
+    return ScaleCount.from_histogram(
+        {k: v for k, v in enumerate(totals) if v and k >= least}
+    )
 
 
 def max_dimension(ctx: FormalContext) -> int:
@@ -398,33 +419,38 @@ def max_dimension(ctx: FormalContext) -> int:
 
 
 def conflict_graph(ctx: FormalContext) -> ConflictGraph:
-    return _conflict_graph(ctx)
-
-
-def _conflict_graph(
-    ctx: FormalContext, before_row: Callable[[], object] = lambda: None
-) -> ConflictGraph:
-    """``conflict_graph``, calling ``before_row()`` ahead of each vertex's row of edges.
-
-    The build is quadratic in the non-incident pairs; a caller with a time
-    budget stops it by raising from ``before_row``.
-    """
     vertices = to_bipartite(ctx).edges
-    edges = []
-    for i in range(len(vertices)):
+    rows = _conflict_rows(ctx, vertices)
+    return ConflictGraph(vertices, tuple((i, j) for i, row in enumerate(rows) for j in row))
+
+
+def _conflict_rows(
+    ctx: FormalContext,
+    vertices: tuple[tuple[int, int], ...],
+    before_row: Callable[[], object] = lambda: None,
+) -> Iterator[list[int]]:
+    """Per vertex i, the vertices j > i it shares an edge with, calling ``before_row()`` first.
+
+    The rows are quadratic in the non-incident pairs; a caller with a time
+    budget stops them by raising from ``before_row``.
+    """
+    for i, (g, m) in enumerate(vertices):
         before_row()
-        g, m = vertices[i]
+        row = []
         for j in range(i + 1, len(vertices)):
             h, n = vertices[j]
             if ctx.incident(g, n) and ctx.incident(h, m):
-                edges.append((i, j))
-    return ConflictGraph(vertices, tuple(edges))
+                row.append(j)
+        yield row
 
 
-def _maximal_cliques(adj: list[set[int]]) -> Iterator[frozenset[int]]:
-    """Bron-Kerbosch with pivoting."""
+def _maximal_cliques(
+    adj: list[set[int]], before_step: Callable[[], object] = lambda: None
+) -> Iterator[frozenset[int]]:
+    """Bron-Kerbosch with pivoting, calling ``before_step()`` at each recursive call."""
 
     def expand(r: set[int], p: set[int], x: set[int]) -> Iterator[frozenset[int]]:
+        before_step()
         if not p and not x:
             yield frozenset(r)
             return
@@ -444,26 +470,32 @@ def _clique_subsets(clique: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _bronkerbosch_scales(
-    ctx: FormalContext, before_row: Callable[[], object] = lambda: None
+    ctx: FormalContext, check: Callable[[], object] = lambda: None
 ) -> Iterator[ContranominalScale]:
     """Scales via cliques of the conflict graph, in discovery order.
 
     Bron-Kerbosch yields the maximal cliques; every clique is then recovered
     by subset expansion with global de-duplication, since any clique of the
-    conflict graph corresponds to exactly one scale.  ``before_row`` is
-    ``_conflict_graph``'s.
+    conflict graph corresponds to exactly one scale.  ``check()`` is called
+    ahead of each row of the graph and each step of the clique search; a
+    caller with a time budget stops the run by raising from it.
     """
-    graph = _conflict_graph(ctx, before_row)
-    if not graph.vertices:
+    vertices = to_bipartite(ctx).edges
+    if not vertices:
         return
-    adj = graph.adjacency()
+    # The adjacency grows row by row, so that no stretch of it runs unchecked.
+    adj: list[set[int]] = [set() for _ in vertices]
+    for i, row in enumerate(_conflict_rows(ctx, vertices, check)):
+        adj[i].update(row)
+        for j in row:
+            adj[j].add(i)
     seen: set[tuple[int, ...]] = set()
-    for clique in _maximal_cliques(adj):
+    for clique in _maximal_cliques(adj, check):
         for subset in _clique_subsets(tuple(clique)):
             if subset in seen:
                 continue
             seen.add(subset)
-            pairs = sorted((graph.vertices[v] for v in subset), key=lambda p: p[1])
+            pairs = sorted((vertices[v] for v in subset), key=lambda p: p[1])
             scale = ContranominalScale(tuple(pairs))
             assert scale.is_valid_in(ctx)
             yield scale

@@ -530,6 +530,22 @@ class TestBenchmark:
         cells = ctx.n_objects * ctx.n_attributes
         assert cells < tests["incident"] < cells + 4 * vertices
 
+    def test_timeout_bounds_the_clique_search(self, monkeypatch):
+        # The clock reads 0, 1, 2, ... s and the graph's rows take one check
+        # each.  A budget half a second past them is spent at the second step
+        # of the clique search, which is too shallow to hold a maximal clique.
+        ctx = medical_diagnosis()
+        vertices = len(scales.to_bipartite(ctx).edges)
+        readings = iter(range(vertices + 10))
+        monkeypatch.setattr(bench, "perf_counter", lambda: float(next(readings)))
+        monkeypatch.setattr(
+            scales, "_clique_subsets", lambda clique: pytest.fail("a maximal clique was reached")
+        )
+        report = benchmark_enumeration(ctx, ("bronkerbosch",), timeout=vertices + 1.5)
+        assert report["bronkerbosch"] == {
+            "seconds": vertices + 3.0, "finished": False, "count": None, "max_dimension": None
+        }
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             benchmark_enumeration(make_contranominal(2), ("magic",))

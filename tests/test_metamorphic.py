@@ -1,12 +1,18 @@
-"""Relations the lattice walk must keep, checked at sizes no brute-force oracle reaches.
+"""Relations the lattice and scale walks must keep, checked at sizes no brute-force oracle reaches.
 
 Renaming objects or attributes must not change the concepts or the
 canonical base beyond the renaming, and a context and its transpose have
 the same number of concepts.  A new attribute order changes the whole
 lectic walk, its canonicity tests and its witnesses, so these relations
-check the walk's pruning itself.
+check the walk's pruning itself.  Likewise a renaming must not change the
+scale counts, the influence scores or the delta-adjusted selection beyond
+the renaming, a context and its transpose have the same scales, and the
+scales of a clarified context expand to exactly those of the raw one.
 """
 
+from collections import Counter
+
+from contrascale.adjust import delta_adjust, influence
 from contrascale.context import (
     FormalContext,
     clarify,
@@ -15,7 +21,8 @@ from contrascale.context import (
     reduce_context,
 )
 from contrascale.lattice import _lectic_walk, canonical_base, enumerate_concepts
-from conftest import random_context, reduced_42x15
+from contrascale.scales import count_scales, enumerate_scales, scales_from_clarified
+from conftest import inject_duplicates, random_context, reduced_42x15
 
 
 def transpose(ctx: FormalContext) -> FormalContext:
@@ -106,3 +113,46 @@ class TestTransposition:
             raw = random_context(seeded(436, source), 20, 12, (0.7,), 20, 12)
             ctx = reduce_context(clarify(raw)[0])[0]
             assert len(enumerate_concepts(transpose(ctx))) == len(enumerate_concepts(ctx))
+
+
+class TestScaleRelations:
+    def test_a_context_and_its_transpose_have_the_same_scales(self, seeded):
+        # At most 30x14, so that the transposed walk has 30 attributes or
+        # fewer and takes tens of milliseconds.
+        for source in range(24):
+            ctx = random_context(seeded(440, source), 30, 14, (0.5, 0.7, 0.9), 12, 6)
+            assert count_scales(transpose(ctx)) == count_scales(ctx)
+
+    def test_scale_counts_and_influence_follow_a_permutation(self, seeded):
+        rng = seeded(441)
+        for source in range(12):
+            ctx = reduced_42x15(seeded(442, source))
+            objects = shuffled(rng, ctx.n_objects)
+            attributes = shuffled(rng, ctx.n_attributes)
+            moved = permute(ctx, objects, attributes)
+            assert count_scales(moved) == count_scales(ctx)
+            report = influence(ctx).per_attribute
+            for m, scored in enumerate(influence(moved).per_attribute):
+                original = report[attributes[m]]
+                assert scored.zeta_exact == original.zeta_exact
+                assert scored.cubic_counts == original.cubic_counts
+
+    def test_delta_adjust_ignores_the_object_order(self, seeded):
+        rng = seeded(443)
+        for source in range(12):
+            ctx = reduced_42x15(seeded(444, source))
+            moved = permute(ctx, shuffled(rng, ctx.n_objects), list(range(ctx.n_attributes)))
+            for delta in ("1/4", "1/2"):
+                assert delta_adjust(moved, delta) == delta_adjust(ctx, delta)
+
+    def test_clarified_scales_expand_to_the_raw_count(self, seeded):
+        for source in range(12):
+            drawn = random_context(seeded(445, source), 18, 10, (0.5, 0.7), 18, 10)
+            raw = inject_duplicates(drawn, seeded(446, source))
+            clarified, cmap = clarify(raw)
+            expanded = Counter(
+                s.dimension for s in scales_from_clarified(enumerate_scales(clarified), cmap)
+            )
+            count = count_scales(raw)
+            assert sum(expanded.values()) == count.total
+            assert dict(sorted(expanded.items())) == count.histogram
