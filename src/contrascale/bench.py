@@ -81,16 +81,27 @@ def sample_attributes(ctx: FormalContext, n: int, seed: int) -> tuple[int, ...]:
 
 
 def _split_masks(n: int, split_fraction: float, seed: int) -> tuple[int, int]:
-    """The train and test object masks of one seeded shuffle of ``n`` objects."""
+    """The train and test object masks of one seeded shuffle of ``n`` objects.
+
+    The train set is the first ``cut`` places of ``SplitMix64(seed).shuffle``
+    of ``range(n)``, the test set the rest.  Fisher-Yates fills the places from
+    the back, one draw each, and a filled place never changes again, so the
+    ``n - cut`` draws that fill places ``n-1 … cut`` fix the test set; the
+    remaining draws would only reorder the train set, and are not made.
+    """
     if n < 2:
         raise ValueError("need at least 2 objects to split")
-    order = list(range(n))
-    SplitMix64(seed).shuffle(order)
     cut = math.floor(n * split_fraction)
-    train, test = order[:cut], order[cut:]
-    if not train or not test:
+    if not 0 < cut < n:
         raise ValueError("split leaves an empty train or test set")
-    return indices_to_mask(train), indices_to_mask(test)
+    rng = SplitMix64(seed)
+    order = list(range(n))
+    test = 0
+    for i in range(n - 1, cut - 1, -1):
+        j = rng.randrange(i + 1)
+        test |= 1 << order[j]
+        order[j] = order[i]
+    return ((1 << n) - 1) ^ test, test
 
 
 def decision_tree_accuracy(
@@ -154,13 +165,15 @@ def run_knowledge_experiment(
         raise ValueError("need at least 2 attributes")
     selection = delta_adjust(ctx, cfg.delta).attributes
     cols = ctx.cols()
+    everything = tuple(range(ctx.n_attributes))
+    adjusted_features = [tuple(m for m in selection if m != label) for label in everything]
     records: list[list[RepetitionRecord]] = [[] for _ in methods]
     seeds = _stream_seeds(
         cfg.seed, cfg.repetitions, _STREAM_LABEL, _STREAM_SPLIT, _STREAM_FEATURES
     )
     for rep, (label_seed, split_seed, features_seed) in enumerate(seeds):
         label = SplitMix64(label_seed).randrange(ctx.n_attributes)
-        adjusted = tuple(m for m in selection if m != label)
+        adjusted = adjusted_features[label]
         # The sampled arm draws as many features, so both arms fail here alike,
         # and before the split is drawn.
         if not adjusted:
@@ -171,11 +184,9 @@ def run_knowledge_experiment(
             if method == "adjusted":
                 features = adjusted
             else:
-                rng = SplitMix64(features_seed)
-                others = [m for m in range(ctx.n_attributes) if m != label]
-                features = tuple(
-                    sorted(others[i] for i in rng.sample_indices(len(others), len(adjusted)))
-                )
+                others = everything[:label] + everything[label + 1:]
+                picks = SplitMix64(features_seed).sample_indices(len(others), len(adjusted))
+                features = tuple(sorted(map(others.__getitem__, picks)))
             tree = train_tree(cols, labels, train, features)
             arm.append(RepetitionRecord(rep, label, features, tree.accuracy(cols, labels, test)))
     results = []

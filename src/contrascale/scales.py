@@ -454,7 +454,9 @@ def _maximal_cliques(
         if not p and not x:
             yield frozenset(r)
             return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
+        # Only the root has an empty r, and there p holds every vertex, so
+        # adj[v] & p is adj[v] and the pivot is a vertex of largest degree.
+        pivot = max(p | x, key=(lambda v: len(adj[v] & p)) if r else (lambda v: len(adj[v])))
         for v in sorted(p - adj[pivot]):
             yield from expand(r | {v}, p & adj[v], x & adj[v])
             p.remove(v)

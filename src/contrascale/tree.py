@@ -6,6 +6,12 @@ and label counts are popcounts against the label column.  Binary splits on
 single attributes, Gini impurity, grown until a node is pure or no split
 strictly reduces impurity, majority vote at the leaves, no pruning.
 
+A leaf is the ``bool`` it predicts, and an internal node is the tuple
+``(feature, left, right)``, whose left subtree takes the objects without the
+feature and whose right subtree those with it.  A node computes its best
+split's label counts anyway, so it makes a pure side a leaf itself and grows
+only the impure ones.
+
 A split into sides with z_i zeros and o_i ones among n_i objects has the
 lowest weighted Gini when S = sum_i (z_i² + o_i²) / n_i is largest, and it
 beats the unsplit node of z zeros and o ones among n objects when
@@ -16,30 +22,24 @@ feature index, tied majorities predict 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = ["DecisionTree", "train_tree"]
 
 
-@dataclass
-class _Node:
-    feature: int | None = None
-    left: "_Node | None" = None   # objects without the feature
-    right: "_Node | None" = None  # objects with the feature
-    value: int = 0
-
-
-def _hits(node: _Node, cols: Sequence[int], labels: int, objs: int) -> int:
+def _hits(node: bool | tuple, cols: Sequence[int], labels: int, objs: int) -> int:
     """Objects of ``objs`` whose label bit the subtree at ``node`` predicts."""
-    if node.feature is None:
-        return (objs & labels if node.value else objs & ~labels).bit_count()
-    col = cols[node.feature]
-    return _hits(node.left, cols, labels, objs & ~col) + _hits(node.right, cols, labels, objs & col)
+    if node is True:
+        return (objs & labels).bit_count()
+    if node is False:
+        return (objs & ~labels).bit_count()
+    feature, left, right = node
+    col = cols[feature]
+    return _hits(left, cols, labels, objs & ~col) + _hits(right, cols, labels, objs & col)
 
 
 class DecisionTree:
-    def __init__(self, root: _Node):
+    def __init__(self, root: bool | tuple):
         self._root = root
 
     def accuracy(self, cols: Sequence[int], labels: int, sample: int) -> float:
@@ -49,14 +49,13 @@ class DecisionTree:
         return _hits(self._root, cols, labels, sample) / sample.bit_count()
 
 
-def _grow(cols: Sequence[int], labels: int, features: Sequence[int], sample: int) -> _Node:
-    n = sample.bit_count()
-    ones = (sample & labels).bit_count()
+def _grow(
+    cols: Sequence[int], labels: int, features: Sequence[int], sample: int, n: int, ones: int
+) -> bool | tuple:
+    """The subtree of ``sample``, whose ``n`` objects hold ``ones`` label bits, 0 < ones < n."""
     zeros = n - ones
-    if not zeros or not ones:
-        return _Node(value=int(ones > zeros))
     # The unsplit node is the candidate to beat: S = (z² + o²) / n.
-    best_num, best_den, best_feature = zeros * zeros + ones * ones, n, None
+    best_num, best_den, best = zeros * zeros + ones * ones, n, None
     for feature in features:
         right = sample & cols[feature]
         n1 = right.bit_count()
@@ -69,14 +68,16 @@ def _grow(cols: Sequence[int], labels: int, features: Sequence[int], sample: int
         num = (z0 * z0 + o0 * o0) * n1 + (z1 * z1 + o1 * o1) * n0
         den = n0 * n1
         if num * best_den > best_num * den:
-            best_num, best_den, best_feature = num, den, feature
-    if best_feature is None:
-        return _Node(value=int(ones > zeros))
-    col = cols[best_feature]
-    return _Node(
-        feature=best_feature,
-        left=_grow(cols, labels, features, sample & ~col),
-        right=_grow(cols, labels, features, sample & col),
+            best_num, best_den, best = num, den, (feature, right, n1, o1)
+    if best is None:
+        return ones > zeros
+    feature, right, n1, o1 = best
+    n0, o0 = n - n1, ones - o1
+    # Both sides are nonempty, so a pure side predicts 1 exactly when it has a 1.
+    return (
+        feature,
+        _grow(cols, labels, features, sample ^ right, n0, o0) if 0 < o0 < n0 else o0 > 0,
+        _grow(cols, labels, features, right, n1, o1) if 0 < o1 < n1 else o1 > 0,
     )
 
 
@@ -87,4 +88,8 @@ def train_tree(
     from the columns ``cols[f]`` of ``features``."""
     if not sample:
         raise ValueError("cannot train on an empty sample")
-    return DecisionTree(_grow(cols, labels, tuple(features), sample))
+    n = sample.bit_count()
+    ones = (sample & labels).bit_count()
+    if 0 < ones < n:
+        return DecisionTree(_grow(cols, labels, tuple(features), sample, n, ones))
+    return DecisionTree(ones > 0)

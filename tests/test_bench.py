@@ -21,6 +21,7 @@ from contrascale.context import (
     SubcontextSelection,
     apply_selection,
     clarify,
+    indices_to_mask,
     make_contranominal,
     reduce_context,
 )
@@ -124,6 +125,60 @@ def _tie_heavy_rows(rng):
     return [tuple(row) for row in rows]
 
 
+class _Node:
+    """A node of the grower below; a leaf predicts ``value`` and has no ``feature``."""
+
+    def __init__(self, feature=None, left=None, right=None, value=0):
+        self.feature, self.left, self.right, self.value = feature, left, right, value
+
+
+def _node_tree(cols, labels, features, sample):
+    """A node-per-subtree grower: one call per node, purity tested on entry."""
+    n = sample.bit_count()
+    ones = (sample & labels).bit_count()
+    zeros = n - ones
+    if not zeros or not ones:
+        return _Node(value=int(ones > zeros))
+    best_num, best_den, best_feature = zeros * zeros + ones * ones, n, None
+    for feature in features:
+        right = sample & cols[feature]
+        n1 = right.bit_count()
+        n0 = n - n1
+        if not n0 or not n1:
+            continue
+        o1 = (right & labels).bit_count()
+        o0 = ones - o1
+        z0, z1 = n0 - o0, n1 - o1
+        num = (z0 * z0 + o0 * o0) * n1 + (z1 * z1 + o1 * o1) * n0
+        den = n0 * n1
+        if num * best_den > best_num * den:
+            best_num, best_den, best_feature = num, den, feature
+    if best_feature is None:
+        return _Node(value=int(ones > zeros))
+    col = cols[best_feature]
+    return _Node(
+        feature=best_feature,
+        left=_node_tree(cols, labels, features, sample & ~col),
+        right=_node_tree(cols, labels, features, sample & col),
+    )
+
+
+def _node_hits(node, cols, labels, objs):
+    if node.feature is None:
+        return (objs & labels if node.value else objs & ~labels).bit_count()
+    col = cols[node.feature]
+    return _node_hits(node.left, cols, labels, objs & ~col) + _node_hits(
+        node.right, cols, labels, objs & col
+    )
+
+
+def _shape(node):
+    """A node tree in the form ``train_tree`` grows: ``(feature, left, right)`` or a leaf's bool."""
+    if node.feature is None:
+        return bool(node.value)
+    return (node.feature, _shape(node.left), _shape(node.right))
+
+
 class TestDecisionTree:
     def test_constant_label_is_perfect(self):
         rows = [(1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -176,12 +231,76 @@ class TestDecisionTree:
             reference = independent_tree_accuracy(rows, features, label, fraction, seed)
             assert mine == reference, (trial, rows, features, label)
 
+    def test_matches_the_node_grower(self, seeded):
+        rng = seeded(603)
+        cases = []
+        for trial in range(400):
+            rows = _tie_heavy_rows(rng) if trial % 2 else [
+                tuple(rng.randrange(2) for _ in range(6)) for _ in range(1 + rng.randrange(40))
+            ]
+            cases.append(rows)
+        # A constant label column, for a pure root.
+        cases += [[(1, 0, 1), (0, 1, 1), (1, 1, 1)], [(0, 1, 0), (1, 1, 0)]]
+        kinds = Counter()
+        for rows in cases:
+            ctx = _context(rows)
+            cols = ctx.cols()
+            full = (1 << len(rows)) - 1
+            label = rng.randrange(len(rows[0]))
+            others = [f for f in range(len(rows[0])) if f != label]
+            picks = rng.sample_indices(len(others), rng.randrange(len(others) + 1))
+            for features in (others, sorted(others[i] for i in picks), []):
+                # The whole table, one object, and a random nonempty sample.
+                one = 1 << rng.randrange(len(rows))
+                for sample in (full, one, rng.randrange(full) + 1):
+                    labels = cols[label]
+                    ones = (sample & labels).bit_count()
+                    kinds["pure" if ones in (0, sample.bit_count()) else "impure"] += 1
+                    expected = _node_tree(cols, labels, features, sample)
+                    tree = train_tree(cols, labels, sample, features)
+                    assert tree._root == _shape(expected), (rows, label, features, sample)
+                    for scored in (full, full ^ sample or full, one):
+                        assert tree.accuracy(cols, labels, scored) == (
+                            _node_hits(expected, cols, labels, scored) / scored.bit_count()
+                        )
+        assert kinds["pure"] > 1000 and kinds["impure"] > 1000, kinds
+
     def test_tree_handles_unseen_combinations(self):
         ctx = _context([(0, 0, 0), (1, 1, 1), (0, 1, 0)])
         cols = ctx.cols()
         tree = train_tree(cols, cols[2], 0b011, [0, 1])
         # Object 2 has the combination (0, 1), which no training object has.
         assert tree.accuracy(cols, cols[2], 0b100) in (0.0, 1.0)
+
+
+def _defined_split(n, split_fraction, seed):
+    """The train and test masks of a whole shuffle of ``range(n)``, cut at ``floor(n * f)``."""
+    order = list(range(n))
+    SplitMix64(seed).shuffle(order)
+    cut = int(n * split_fraction)
+    return indices_to_mask(order[:cut]), indices_to_mask(order[cut:])
+
+
+class TestSplitMasks:
+    def test_equals_a_whole_shuffle_cut(self):
+        for n in range(2, 65):
+            for cut in sorted({1, n // 2, n - 1}):
+                fraction = (cut + 0.5) / n
+                for s in range(50):
+                    seed = derive_seed(604, n, s)
+                    train, test = bench._split_masks(n, fraction, seed)
+                    assert (train, test) == _defined_split(n, fraction, seed), (n, cut, s)
+                    assert train.bit_count() == cut
+
+    def test_errors_keep_their_messages_and_order(self):
+        for n in (0, 1):
+            for fraction in (0.5, 0.0, 2.0):
+                with pytest.raises(ValueError, match="^need at least 2 objects to split$"):
+                    bench._split_masks(n, fraction, 1)
+        # floor(n * f) is 0 (empty train) or n (empty test), or out of range.
+        for n, fraction in ((2, 0.4), (14, 0.05), (14, 0.0), (3, 1.0), (14, 1.5), (14, -0.1)):
+            with pytest.raises(ValueError, match="^split leaves an empty train or test set$"):
+                bench._split_masks(n, fraction, 1)
 
 
 class TestKnowledgeExperiment:
@@ -545,6 +664,57 @@ class TestBenchmark:
         assert report["bronkerbosch"] == {
             "seconds": vertices + 3.0, "finished": False, "count": None, "max_dimension": None
         }
+
+    def test_root_pivot_takes_no_intersection(self):
+        # At the root p holds every vertex, so the pivot is a vertex of largest
+        # degree; one adj[v] & p per vertex there ran between two budget checks.
+        ctx = medical_diagnosis()
+        vertices = scales.to_bipartite(ctx).edges
+        intersections = Counter()
+
+        class CountedSet(set):
+            def __and__(self, other):
+                intersections["and"] += 1
+                return set.__and__(self, other)
+
+        def adjacency(kind):
+            adj = [kind() for _ in vertices]
+            for i, row in enumerate(scales._conflict_rows(ctx, vertices)):
+                adj[i].update(row)
+                for j in row:
+                    adj[j].add(i)
+            return adj
+
+        class Stop(Exception):
+            pass
+
+        steps = []
+
+        def before_step():
+            steps.append(intersections["and"])
+            if len(steps) == 2:
+                raise Stop
+
+        with pytest.raises(Stop):
+            list(scales._maximal_cliques(adjacency(CountedSet), before_step))
+        assert steps[1] < len(vertices)
+
+        def intersecting(adj):
+            # The same search with the pivot taken by intersection at every step.
+            def expand(r, p, x):
+                if not p and not x:
+                    yield frozenset(r)
+                    return
+                pivot = max(p | x, key=lambda v: len(adj[v] & p))
+                for v in sorted(p - adj[pivot]):
+                    yield from expand(r | {v}, p & adj[v], x & adj[v])
+                    p.remove(v)
+                    x.add(v)
+
+            yield from expand(set(), set(range(len(adj))), set())
+
+        adj = adjacency(set)
+        assert list(scales._maximal_cliques(adj)) == list(intersecting(adj))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
