@@ -113,6 +113,9 @@ def decision_tree_accuracy(
 ) -> float:
     """Held-out accuracy of a tree predicting one attribute of ``ctx`` from others."""
     features = tuple(features)
+    for index in (label, *features):
+        if not 0 <= index < ctx.n_attributes:
+            raise ValueError(f"attribute index {index} out of range [0, {ctx.n_attributes})")
     if label in features:
         raise ValueError("label attribute must not be among the features")
     train, test = _split_masks(ctx.n_objects, split_fraction, seed)

@@ -55,13 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_context(args: argparse.Namespace) -> FormalContext:
-    fmt = args.format or infer_format(args.input)
-    if args.input == "-":
-        return load_context(sys.stdin, fmt)
-    return load_context(args.input, fmt)
-
-
 @contextmanager
 def _output(args: argparse.Namespace) -> Iterator[Callable[[str], object]]:
     """The ``write`` of the command's output: the ``-o`` file, else stdout."""
@@ -91,17 +84,23 @@ def _context_text(args: argparse.Namespace, ctx: FormalContext) -> str:
     return dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx)
 
 
-def _add_input(parser: argparse.ArgumentParser) -> None:
+def _command(
+    sub: argparse._SubParsersAction,
+    name: str,
+    func: Callable[[argparse.Namespace, FormalContext], None],
+    summary: str,
+) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, its input, ``--format`` and ``-o``; ``main`` runs ``func``."""
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("input", help="context file, or - for stdin")
     parser.add_argument(
         "--format",
         choices=("cxt", "csv"),
         help="input format (default: from the file extension)",
     )
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", help="write to this file instead of stdout")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _algorithm_list(text: str) -> tuple[str, ...]:
@@ -136,100 +135,67 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="convert between cxt and csv")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "convert", cmd_convert, "convert between cxt and csv")
     p.add_argument("--to", choices=("cxt", "csv"), required=True)
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("stats", help="size and density descriptives")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "stats", cmd_stats, "size and density descriptives")
     p.add_argument(
         "--full",
         action="store_true",
         help="also compute concept and base statistics (can be slow)",
     )
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("preprocess", help="clarify and/or reduce a context")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "preprocess", cmd_preprocess, "clarify and/or reduce a context")
     p.add_argument("--mode", choices=("clarify", "reduce", "both"), default="both")
     p.add_argument("--to", choices=("cxt", "csv"), default="cxt")
     p.add_argument("--trace", help="write the clarification/reduction trace JSON here")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("core", help="peel to the (p,q)-core")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "core", cmd_core, "peel to the (p,q)-core")
     p.add_argument("-p", type=int, required=True, help="minimum crosses per object")
     p.add_argument("-q", type=int, required=True, help="minimum crosses per attribute")
     p.add_argument("--to", choices=("cxt", "csv"), help="emit the core as a context file")
-    p.set_defaults(func=cmd_core)
 
-    p = sub.add_parser("scales", help="enumerate contranominal scales")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "scales", cmd_scales, "enumerate contranominal scales")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--min-dim", type=int, help="peel a core and keep dimensions >= this")
     p.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
-    p.set_defaults(func=cmd_scales)
 
-    p = sub.add_parser("influence", help="per-attribute influence report")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "influence", cmd_influence, "per-attribute influence report")
     p.add_argument("--delta", help="mark the selection for this delta in the table")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--pretty", action="store_true")
     mode.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_influence)
 
-    p = sub.add_parser("adjust", help="select the low-influence attribute subset")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "adjust", cmd_adjust, "select the low-influence attribute subset")
     p.add_argument("--delta", required=True)
     p.add_argument("--to", choices=("cxt", "csv"), help="emit the adjusted subcontext")
-    p.set_defaults(func=cmd_adjust)
 
-    p = sub.add_parser("concepts", help="enumerate formal concepts")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "concepts", cmd_concepts, "enumerate formal concepts")
     p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_concepts)
 
-    p = sub.add_parser("base", help="canonical implication base")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "base", cmd_base, "canonical implication base")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--pretty", action="store_true", help="one implication per line")
-    p.set_defaults(func=cmd_base)
 
     p = sub.add_parser("experiment", help="structure or knowledge experiments")
     exp = p.add_subparsers(dest="experiment", required=True)
 
-    ps = exp.add_parser("structure", help="concept/base shrinkage for one delta")
-    _add_input(ps)
-    _add_output(ps)
+    ps = _command(
+        exp, "structure", cmd_experiment_structure, "concept/base shrinkage for one delta"
+    )
     ps.add_argument("--delta", default="0.5")
     ps.add_argument("--samples", type=int, default=10)
     ps.add_argument("--seed", type=int, default=0)
-    ps.set_defaults(func=cmd_experiment_structure)
 
-    pk = exp.add_parser("knowledge", help="decision-tree label prediction")
-    _add_input(pk)
-    _add_output(pk)
+    pk = _command(exp, "knowledge", cmd_experiment_knowledge, "decision-tree label prediction")
     pk.add_argument("--delta", default="0.5")
     pk.add_argument("--repetitions", type=int, default=1000)
     pk.add_argument("--split", type=float, default=0.5)
     pk.add_argument("--seed", type=int, required=True)
     pk.add_argument("--method", choices=("adjusted", "sampled", "both"), default="both")
     pk.add_argument("--csv", action="store_true", help="summary CSV instead of JSON")
-    pk.set_defaults(func=cmd_experiment_knowledge)
 
-    p = sub.add_parser("bench", help="time the enumeration algorithms")
-    _add_input(p)
-    _add_output(p)
+    p = _command(sub, "bench", cmd_bench, "time the enumeration algorithms")
     p.add_argument(
         "--algorithms",
         type=_algorithm_list,
@@ -239,7 +205,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--timeout", type=_positive_seconds, help="per-algorithm budget in seconds (> 0)"
     )
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -372,13 +337,11 @@ def _write_knowledge_json(
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    _emit(args, _context_text(args, _read_context(args)))
-    return 0
+def cmd_convert(args: argparse.Namespace, ctx: FormalContext) -> None:
+    _emit(args, _context_text(args, ctx))
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    ctx = _read_context(args)
+def cmd_stats(args: argparse.Namespace, ctx: FormalContext) -> None:
     payload: dict = {
         "objects": ctx.n_objects,
         "attributes": ctx.n_attributes,
@@ -398,11 +361,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         payload["canonical_base_size"] = len(pseudo)
     _emit(args, payload)
-    return 0
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    ctx = _read_context(args)
+def cmd_preprocess(args: argparse.Namespace, ctx: FormalContext) -> None:
     trace_payload: dict = {}
     if args.mode in ("clarify", "both"):
         ctx, cmap = clarify(ctx)
@@ -423,7 +384,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     text = _context_text(args, ctx)
     if not args.trace:
         _emit(args, text)
-        return 0
+        return
     made = not os.path.exists(args.trace)
     trace = open(args.trace, "a", encoding="utf-8")
     opened = False
@@ -437,11 +398,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         if made and not opened:
             os.remove(args.trace)
         raise
-    return 0
 
 
-def cmd_core(args: argparse.Namespace) -> int:
-    ctx = _read_context(args)
+def cmd_core(args: argparse.Namespace, ctx: FormalContext) -> None:
     selection = pq_core(ctx, args.p, args.q)
     if args.to:
         _emit(args, _context_text(args, apply_selection(selection)))
@@ -450,11 +409,9 @@ def cmd_core(args: argparse.Namespace) -> int:
             "objects": [ctx.objects[g] for g in selection.object_indices],
             "attributes": [ctx.attributes[m] for m in selection.attribute_indices],
         })
-    return 0
 
 
-def cmd_scales(args: argparse.Namespace) -> int:
-    ctx = _read_context(args)
+def cmd_scales(args: argparse.Namespace, ctx: FormalContext) -> None:
     if args.count_only:
         count = count_scales(ctx, min_dimension=args.min_dim)
         _emit(args, {
@@ -462,21 +419,19 @@ def cmd_scales(args: argparse.Namespace) -> int:
             "max_dimension": count.max_dimension,
             "histogram": {str(k): v for k, v in count.histogram.items()},
         })
-        return 0
+        return
     stream = enumerate_scales(ctx, min_dimension=args.min_dim)
     with _output(args) as write:
         if args.pretty:
             _write_scale_lines(stream, ctx, write)
         else:
             _write_scales_json(stream, ctx, write)
-    return 0
 
 
-def cmd_influence(args: argparse.Namespace) -> int:
+def cmd_influence(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .adjust import _delta_fraction, influence
 
     delta = None if args.delta is None else _delta_fraction(args.delta)
-    ctx = _read_context(args)
     report = influence(ctx)
     if args.pretty:
         _emit(args, _influence_table(report, delta))
@@ -491,13 +446,11 @@ def cmd_influence(args: argparse.Namespace) -> int:
             }
             for a in report.per_attribute
         ])
-    return 0
 
 
-def cmd_adjust(args: argparse.Namespace) -> int:
+def cmd_adjust(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .adjust import delta_adjust
 
-    ctx = _read_context(args)
     selection = delta_adjust(ctx, args.delta)
     if args.to:
         sub = SubcontextSelection(ctx, tuple(range(ctx.n_objects)), selection.attributes)
@@ -509,13 +462,11 @@ def cmd_adjust(args: argparse.Namespace) -> int:
             "chosen": [ctx.attributes[m] for m in selection.attributes],
             "excluded": [label for m, label in enumerate(ctx.attributes) if m not in chosen],
         })
-    return 0
 
 
-def cmd_concepts(args: argparse.Namespace) -> int:
+def cmd_concepts(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .lattice import _lectic_walk, enumerate_concepts
 
-    ctx = _read_context(args)
     if args.count_only:
         _emit(args, {"concepts": len(_lectic_walk(ctx)[0])})
     else:
@@ -526,13 +477,11 @@ def cmd_concepts(args: argparse.Namespace) -> int:
             }
             for c in enumerate_concepts(ctx)
         ])
-    return 0
 
 
-def cmd_base(args: argparse.Namespace) -> int:
+def cmd_base(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .lattice import canonical_base
 
-    ctx = _read_context(args)
     base = canonical_base(ctx)
     labels = ctx.attributes
     if args.count_only:
@@ -552,25 +501,21 @@ def cmd_base(args: argparse.Namespace) -> int:
             }
             for imp in base
         ])
-    return 0
 
 
-def cmd_experiment_structure(args: argparse.Namespace) -> int:
+def cmd_experiment_structure(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .bench import run_structure_experiment
 
-    ctx = _read_context(args)
     payload = run_structure_experiment(
         ctx, args.delta, samples=args.samples, seed=args.seed
     )
     _emit(args, payload)
-    return 0
 
 
-def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
+def cmd_experiment_knowledge(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .adjust import _delta_fraction
     from .bench import ExperimentConfig, run_knowledge_experiment
 
-    ctx = _read_context(args)
     cfg = ExperimentConfig(
         seed=args.seed,
         delta=_delta_fraction(args.delta),
@@ -590,15 +535,12 @@ def cmd_experiment_knowledge(args: argparse.Namespace) -> int:
     else:
         with _output(args) as write:
             _write_knowledge_json(results, write)
-    return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .bench import benchmark_enumeration
 
-    ctx = _read_context(args)
     _emit(args, benchmark_enumeration(ctx, args.algorithms, timeout=args.timeout))
-    return 0
 
 
 # One parser serves every ``main`` call in a process; ``build_parser`` builds afresh.
@@ -613,15 +555,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        return args.func(args)
+        source = sys.stdin if args.input == "-" else args.input
+        args.func(args, load_context(source, args.format or infer_format(args.input)))
     except BrokenPipeError:
         # The reader stopped early, as ``| head`` does; that is not a data
         # error.  Stdout goes to devnull so the flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -196,6 +196,16 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             decision_tree_accuracy(_context(rows), [0, 1], 1, 0.5, 0)
 
+    @pytest.mark.parametrize(
+        "features, label, bad",
+        [([14], -1, -1), ([-1], 14, -1), ([0], 15, 15), ([0, 15], 1, 15)],
+    )
+    def test_attribute_index_out_of_range_rejected(self, features, label, bad):
+        # A negative index would read a column from the end, so label -1
+        # would train on attribute 14 itself.
+        with pytest.raises(ValueError, match=rf"attribute index {bad} out of range"):
+            decision_tree_accuracy(medical_diagnosis(), features, label, 0.5, 0)
+
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             decision_tree_accuracy(_context([(0, 1)]), [0], 1, 0.5, 0)

@@ -966,3 +966,49 @@ def test_degenerate_context_exit_codes(capsys, tmp_path, objects, attributes, ro
     path.write_text(dumps_cxt(FormalContext.from_masks(objects, attributes, rows)))
     codes = {name: run(capsys, *argv, str(path))[0] for name, argv in _DEGENERATE_COMMANDS.items()}
     assert codes == {name: 2 if name in data_errors else 0 for name in _DEGENERATE_COMMANDS}
+
+
+def _without_seconds(payload):
+    """``payload`` with every ``"seconds"`` entry dropped, at any depth."""
+    if isinstance(payload, dict):
+        return {k: _without_seconds(v) for k, v in payload.items() if k != "seconds"}
+    if isinstance(payload, list):
+        return [_without_seconds(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("name", _DEGENERATE_COMMANDS)
+def test_output_file_holds_what_stdout_would(capsys, tmp_path, diagnosis_cxt, name):
+    argv = _DEGENERATE_COMMANDS[name]
+    code, out, _ = run(capsys, *argv, diagnosis_cxt)
+    assert code == 0
+    target = tmp_path / "out"
+    code, printed, _ = run(capsys, *argv, diagnosis_cxt, "-o", str(target))
+    assert (code, printed) == (0, "")
+    if name == "bench":
+        # Timings differ from run to run; everything else must not.
+        written = json.loads(target.read_bytes())
+        assert _without_seconds(written) == _without_seconds(json.loads(out))
+    else:
+        assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*_DEGENERATE_COMMANDS.values(), ["preprocess", "--trace", "t.json"]],
+    ids=[*_DEGENERATE_COMMANDS, "preprocess trace"],
+)
+def test_missing_input_writes_no_file(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "missing.cxt", "-o", "out")
+    assert (code, out) == (2, "")
+    assert "missing.cxt" in err
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("name", _PREPROCESSED_ONLY)
+def test_input_is_read_before_the_delta(capsys, tmp_path, name):
+    missing = str(tmp_path / "missing.cxt")
+    code, _, err = run(capsys, *_DEGENERATE_COMMANDS[name], "--delta", "abc", missing)
+    assert code == 2
+    assert "No such file or directory" in err and "missing.cxt" in err
