@@ -10,11 +10,8 @@ survivors valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
-
-from .context import FormalContext, _reducible, is_clarified, mask_to_indices
+from .context import FormalContext, _Record, _reducible, is_clarified, mask_to_indices
 from .scales import _classes, _cubic_families
 
 __all__ = [
@@ -35,37 +32,32 @@ class NotPreprocessedError(ValueError):
     """Raised when influence scoring gets a context that was not clarified and reduced."""
 
 
-@dataclass(frozen=True)
-class CubicSet:
+class CubicSet(_Record):
     """A maximal scale-carrying attribute set with its witness classes."""
 
-    attributes: tuple[int, ...]
-    dimension: int
-    witnesses: tuple[tuple[int, ...], ...]
+    __slots__ = ("attributes", "dimension", "witnesses")
 
 
-@dataclass(frozen=True)
-class AttributeInfluence:
-    attribute: int
-    label: str
-    cubic_counts: Mapping[int, int]
-    zeta_exact: Fraction
+class AttributeInfluence(_Record):
+    """One attribute's index and label, its ``{k: number of k-sized cubic sets}``, and zeta."""
+
+    __slots__ = ("attribute", "label", "cubic_counts", "zeta_exact")
 
     @property
     def zeta(self) -> float:
         return float(self.zeta_exact)
 
 
-@dataclass(frozen=True)
-class InfluenceReport:
-    per_attribute: tuple[AttributeInfluence, ...]
+class InfluenceReport(_Record):
+    """One ``AttributeInfluence`` per attribute, in attribute order."""
+
+    __slots__ = ("per_attribute",)
 
 
-@dataclass(frozen=True)
-class AdjustedSelection:
-    delta: float
-    attributes: tuple[int, ...]
-    report: InfluenceReport
+class AdjustedSelection(_Record):
+    """The delta as a float, the selected attribute indices, and the report they came from."""
+
+    __slots__ = ("delta", "attributes", "report")
 
 
 def require_clarified_reduced(ctx: FormalContext) -> None:

@@ -7,7 +7,6 @@ the rest of the package reduce to chains of bitwise ANDs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -258,13 +257,71 @@ class FormalContext:
         )
 
 
-@dataclass(frozen=True)
-class SubcontextSelection:
-    """A row/column selection of a parent context, kept as sorted index tuples."""
+class _Record:
+    """Base of the immutable record types: each subclass names its fields in ``__slots__``.
 
-    parent: FormalContext
-    object_indices: tuple[int, ...]
-    attribute_indices: tuple[int, ...]
+    A subclass gets an ``__init__`` that takes its fields positionally or by
+    keyword and then calls the subclass's ``__post_init__``, if it has one;
+    ``==`` with records of its own class; the hash of its field tuple; the
+    repr ``Name(field=value, ...)``; and pickling and copying by its fields.
+    Setting or deleting any attribute raises ``AttributeError``.  That is what
+    a frozen ``dataclass`` gives.  It is not a ``dataclass`` because importing
+    ``dataclasses`` and running its class decorator cost every command a
+    large share of its start-up, and because a frozen dataclass's
+    ``__init__`` is slower than one slot store per field, a cost that
+    ``enumerate_scales`` pays once per scale.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__slots__
+        # Each field is stored through its slot's descriptor, since
+        # __setattr__ refuses; one exec per class keeps the __init__ free of
+        # loops over the fields, as in dataclasses.
+        setters = {f"_set_{name}": cls.__dict__[name].__set__ for name in fields}
+        body = [f"_set_{name}(self, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(body), setters)
+        init = setters["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return self.__class__, self._values()
+
+
+class SubcontextSelection(_Record):
+    """A row/column selection of a parent context, kept as sorted index tuples.
+
+    ``parent`` is the ``FormalContext``; ``object_indices`` and
+    ``attribute_indices`` are tuples of its indices.
+    """
+
+    __slots__ = ("parent", "object_indices", "attribute_indices")
 
     def __post_init__(self) -> None:
         for name, indices, limit in (
@@ -277,8 +334,7 @@ class SubcontextSelection:
                 raise ValueError(f"{name} index out of range")
 
 
-@dataclass(frozen=True)
-class ClarificationMap:
+class ClarificationMap(_Record):
     """Duplicate-row/column classes removed by :func:`clarify`.
 
     Each class is a sorted tuple of original indices; the first entry is the
@@ -287,8 +343,7 @@ class ClarificationMap:
     clarified context.
     """
 
-    object_classes: tuple[tuple[int, ...], ...]
-    attribute_classes: tuple[tuple[int, ...], ...]
+    __slots__ = ("object_classes", "attribute_classes")
 
     @property
     def is_trivial(self) -> bool:
@@ -297,8 +352,7 @@ class ClarificationMap:
         )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(_Record):
     """What :func:`reduce_context` removed, with replacement witnesses.
 
     ``removed_attributes`` lists ``(index, replacement)`` pairs where
@@ -307,8 +361,7 @@ class ReductionTrace:
     Indices refer to the context that was reduced.
     """
 
-    removed_attributes: tuple[tuple[int, tuple[int, ...]], ...]
-    removed_objects: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("removed_attributes", "removed_objects")
 
     @property
     def is_trivial(self) -> bool:

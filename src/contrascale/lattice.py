@@ -20,7 +20,6 @@ __all__ = [
     "is_valid_implication",
     "canonical_base",
     "restrict_base_on_removal",
-    "close_under",
 ]
 
 
@@ -188,7 +187,7 @@ class Implication:
 
 
 class ImplicationBase:
-    """The result of ``canonical_base``; ``close_under`` evaluates closures under it.
+    """The result of ``canonical_base``.
 
     ``concepts`` is the number of intents its lectic (Close-by-One) walk
     passed, that is, the number of formal concepts; ``enumerate_concepts``
@@ -267,11 +266,6 @@ class _RuleIndex:
                 fire ^= low
             if mask & forbidden or mask == upper:
                 return mask
-
-
-def close_under(implications: Iterable[Implication], attributes: Iterable[int]) -> tuple[int, ...]:
-    rules = _RuleIndex((i.premise_mask, i.conclusion_mask) for i in implications)
-    return mask_to_indices(rules.close(indices_to_mask(attributes)))
 
 
 def is_valid_implication(ctx: FormalContext, imp: Implication) -> bool:

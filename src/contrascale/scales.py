@@ -9,7 +9,6 @@ walk count the scales and find the cubic sets that ``adjust`` scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -17,6 +16,7 @@ from .context import (
     ClarificationMap,
     FormalContext,
     ReductionTrace,
+    _Record,
     indices_to_mask,
     mask_to_indices,
     pq_core,
@@ -35,7 +35,6 @@ __all__ = [
     "max_dimension",
     "conflict_graph",
     "enumerate_bronkerbosch",
-    "enumerate_bruteforce",
     "scales_from_clarified",
     "scales_from_reduced",
     "to_bipartite",
@@ -45,8 +44,7 @@ __all__ = [
 ALGORITHMS = ("backtracking", "bronkerbosch")
 
 
-@dataclass(frozen=True)
-class ContranominalScale:
+class ContranominalScale(_Record):
     """Witness of one scale: (object, attribute) pairs sorted by attribute.
 
     Pair i marks the single non-incidence of object i within the attribute
@@ -54,7 +52,7 @@ class ContranominalScale:
     incident.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
     @property
     def dimension(self) -> int:
@@ -92,8 +90,7 @@ class ContranominalScale:
         return True
 
 
-@dataclass(frozen=True)
-class ScaleFamily:
+class ScaleFamily(_Record):
     """All scales sharing one attribute set, encoded by witness classes.
 
     ``witness_masks[i]`` is the object bitmask of candidates for attribute
@@ -101,8 +98,7 @@ class ScaleFamily:
     every choice is valid.
     """
 
-    attributes: tuple[int, ...]
-    witness_masks: tuple[int, ...]
+    __slots__ = ("attributes", "witness_masks")
 
     @property
     def dimension(self) -> int:
@@ -154,11 +150,10 @@ class ScaleFamily:
         return True
 
 
-@dataclass(frozen=True)
-class ScaleCount:
-    total: int
-    histogram: dict[int, int]
-    max_dimension: int
+class ScaleCount(_Record):
+    """Scales in all, per dimension as ``{dimension: count}``, and the largest dimension."""
+
+    __slots__ = ("total", "histogram", "max_dimension")
 
     @classmethod
     def from_histogram(cls, histogram: dict[int, int]) -> ScaleCount:
@@ -170,12 +165,13 @@ class ScaleCount:
         )
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Graph on non-incident pairs; edges join pairs that can share a scale."""
+class ConflictGraph(_Record):
+    """Graph on non-incident pairs; edges join pairs that can share a scale.
 
-    vertices: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[int, int], ...]
+    ``vertices`` are (object, attribute) pairs, and ``edges`` pairs of vertex indices.
+    """
+
+    __slots__ = ("vertices", "edges")
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.vertices]
@@ -185,11 +181,10 @@ class ConflictGraph:
         return adj
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+class BipartiteGraph(_Record):
+    """Labels of the left and right vertices, and edges as (left, right) index pairs."""
+
+    __slots__ = ("left", "right", "edges")
 
 
 # -- backtracking enumeration ------------------------------------------------
@@ -506,45 +501,6 @@ def _bronkerbosch_scales(
 def enumerate_bronkerbosch(ctx: FormalContext) -> Iterator[ContranominalScale]:
     """All scales via cliques of the conflict graph, in canonical stream order."""
     yield from sorted(_bronkerbosch_scales(ctx), key=ContranominalScale.sort_key)
-
-
-def enumerate_bruteforce(ctx: FormalContext) -> Iterator[ContranominalScale]:
-    """Third, definition-level oracle: test every (H, N) pair directly."""
-    from itertools import combinations
-
-    n_obj, n_att = ctx.n_objects, ctx.n_attributes
-    limit = min(n_obj, n_att)
-    scales = []
-    for k in range(1, limit + 1):
-        for atts in combinations(range(n_att), k):
-            att_mask = 0
-            for m in atts:
-                att_mask |= 1 << m
-            for objs in combinations(range(n_obj), k):
-                # Within (H, N) each row must miss exactly one attribute and
-                # the misses must cover all k columns.
-                misses = []
-                ok = True
-                for g in objs:
-                    gap = att_mask & ~ctx.row(g)
-                    if gap.bit_count() != 1:
-                        ok = False
-                        break
-                    misses.append(gap)
-                if not ok:
-                    continue
-                union = 0
-                for gap in misses:
-                    union |= gap
-                if union != att_mask:
-                    continue
-                pairs = sorted(
-                    ((g, gap.bit_length() - 1) for g, gap in zip(objs, misses)),
-                    key=lambda p: p[1],
-                )
-                scales.append(ContranominalScale(tuple(pairs)))
-    scales.sort(key=ContranominalScale.sort_key)
-    yield from scales
 
 
 # -- reconstruction from clarified / reduced contexts ------------------------

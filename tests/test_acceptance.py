@@ -33,7 +33,6 @@ from contrascale.formats import dumps_cxt, load_context
 from contrascale.lattice import (
     Implication,
     canonical_base,
-    close_under,
     enumerate_concepts,
     is_valid_implication,
     restrict_base_on_removal,
@@ -42,12 +41,12 @@ from contrascale.rng import SplitMix64, derive_seed
 from contrascale.scales import (
     count_scales,
     enumerate_bronkerbosch,
-    enumerate_bruteforce,
     enumerate_scales,
     scales_from_clarified,
     scales_from_reduced,
 )
 from conftest import random_context
+from oracles import close_under, enumerate_bruteforce
 
 MASTER_SEED = 0xC0FFEE
 DATA_DIR = Path(__file__).parent / "data"

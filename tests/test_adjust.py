@@ -22,8 +22,9 @@ from contrascale.context import (
 )
 from contrascale.datasets import medical_diagnosis
 from contrascale.lattice import enumerate_concepts
-from contrascale.scales import enumerate_bruteforce, enumerate_scales, iter_scale_families
+from contrascale.scales import enumerate_scales, iter_scale_families
 from conftest import random_context
+from oracles import enumerate_bruteforce
 
 # Golden influence table of the bundled diagnosis context: cubic-set counts
 # per dimension and the influence score, per attribute.

@@ -133,6 +133,27 @@ def test_walk_commands_leave_the_rest_unloaded(diagnosis_path, argv):
     assert loaded & unused == set()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess"],
+        ["scales"],
+        ["scales", "--count-only"],
+        ["adjust", "--delta", "0.5"],
+        ["influence"],
+    ],
+    ids=["preprocess", "scales", "scales-count-only", "adjust", "influence"],
+)
+def test_walk_and_adjust_commands_leave_dataclasses_unloaded(diagnosis_path, argv):
+    # The bundled context is clarified and reduced, as adjust and influence need.
+    out = _fresh_run(
+        f"from contrascale.cli import main\n"
+        f"assert main({[*argv, diagnosis_path, '-o', os.devnull]!r}) == 0\n"
+        "import sys\nprint('dataclasses' in sys.modules)"
+    )
+    assert out.split() == ["False"]
+
+
 def test_adjust_leaves_the_experiments_unloaded(diagnosis_path):
     loaded = _loaded_by_command("adjust", "--delta", "0.5", diagnosis_path, "-o", os.devnull)
     assert "adjust" in loaded

@@ -32,10 +32,10 @@ from contrascale.scales import (
     _walk,
     count_scales,
     enumerate_bronkerbosch,
-    enumerate_bruteforce,
     enumerate_scales,
     max_dimension,
 )
+from oracles import enumerate_bruteforce
 from test_adjust import bruteforce_cubic_oracle
 from test_cli import _reference_json
 from test_lattice import brute_pseudo_intent_masks

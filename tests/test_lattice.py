@@ -19,7 +19,6 @@ from contrascale.lattice import (
     Implication,
     attribute_concept,
     canonical_base,
-    close_under,
     enumerate_concepts,
     generated_sub_meet_semilattice,
     is_boolean_suborder,
@@ -29,6 +28,7 @@ from contrascale.lattice import (
     _RuleIndex,
 )
 from conftest import count_context_calls, count_rule_closures, random_context
+from oracles import close_under
 
 
 HALF_ADJUSTED = tuple("dehijlno")

@@ -8,6 +8,11 @@ check the walk's pruning itself.  Likewise a renaming must not change the
 scale counts, the influence scores or the delta-adjusted selection beyond
 the renaming, a context and its transpose have the same scales, and the
 scales of a clarified context expand to exactly those of the raw one.
+
+The walk masked to an attribute set N is the walk of the subcontext on N,
+so its intents must be the traces on N of the full walk's intents, and each
+of its pseudo-intents a subset of N whose conclusion is its closure traced
+on N: the sub-semilattice claim behind delta-adjusting.
 """
 
 from collections import Counter
@@ -103,6 +108,36 @@ class TestPermutation:
         flipped = transpose(ctx)
         assert transpose(flipped) == ctx
         assert flipped.rows() == ctx.cols()
+
+
+class TestRestriction:
+    @staticmethod
+    def masks(ctx, rng):
+        """The delta = 1/2 selection, and three samples of 8 attributes."""
+        masks = [indices_to_mask(delta_adjust(ctx, "1/2").attributes)]
+        size = min(8, ctx.n_attributes)
+        masks += [indices_to_mask(rng.sample_indices(ctx.n_attributes, size)) for _ in range(3)]
+        return masks
+
+    def test_masked_intents_are_the_traces_of_the_full_intents(self, seeded):
+        rng = seeded(450)
+        for source in range(12):
+            ctx = reduced_42x15(seeded(451, source))
+            full = _lectic_walk(ctx)[0]
+            for within in self.masks(ctx, rng):
+                intents = _lectic_walk(ctx, within)[0]
+                assert len(set(intents)) == len(intents)
+                assert set(intents) == {i & within for i in full}
+
+    def test_masked_pseudo_intents_conclude_their_traced_closure(self, seeded):
+        rng = seeded(452)
+        for source in range(12):
+            ctx = reduced_42x15(seeded(453, source))
+            for within in self.masks(ctx, rng):
+                for premise, conclusion in _lectic_walk(ctx, within)[2]:
+                    assert premise & ~within == 0
+                    assert conclusion == ctx.closure_mask(premise) & within
+                    assert premise & ~conclusion == 0 and premise != conclusion
 
 
 class TestTransposition:

@@ -19,7 +19,6 @@ from contrascale.scales import (
     conflict_graph,
     count_scales,
     enumerate_bronkerbosch,
-    enumerate_bruteforce,
     enumerate_scales,
     induced_matchings,
     iter_scale_families,
@@ -30,6 +29,7 @@ from contrascale.scales import (
 )
 from contrascale.datasets import medical_diagnosis
 from conftest import context_from_rows, inject_duplicates, random_context
+from oracles import enumerate_bruteforce
 
 
 def pairs_multiset(stream):
