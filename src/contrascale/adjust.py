@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
 from .context import FormalContext, _Record, _reducible, is_clarified, mask_to_indices
 from .scales import _classes, _cubic_families
 

@@ -263,7 +263,8 @@ class _Record:
     A subclass gets an ``__init__`` that takes its fields positionally or by
     keyword and then calls the subclass's ``__post_init__``, if it has one;
     ``==`` with records of its own class; the hash of its field tuple; the
-    repr ``Name(field=value, ...)``; and pickling and copying by its fields.
+    repr ``Name(field=value, ...)``; positional ``match`` patterns; and
+    pickling and copying by its fields.
     Setting or deleting any attribute raises ``AttributeError``.  That is what
     a frozen ``dataclass`` gives.  It is not a ``dataclass`` because importing
     ``dataclasses`` and running its class decorator cost every command a
@@ -288,6 +289,7 @@ class _Record:
         init = setters["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
+        cls.__match_args__ = fields
 
     def _values(self) -> tuple[object, ...]:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -150,6 +150,17 @@ def test_construction_needs_every_field_once(case):
 
 
 @pytest.mark.parametrize("case", _CASES, ids=_IDS)
+def test_positional_match_patterns_bind_the_fields_in_order(case):
+    cls, names, values, _ = case
+    assert cls.__match_args__ == names
+    match cls(*values):
+        case cls(first) if first is values[0]:
+            pass
+        case _:
+            pytest.fail("the first positional pattern did not bind the first field")
+
+
+@pytest.mark.parametrize("case", _CASES, ids=_IDS)
 def test_repr(case):
     for record in _records(case):
         assert repr(record) == case[3]
