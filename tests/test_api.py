@@ -147,7 +147,7 @@ def test_walk_commands_leave_the_rest_unloaded(diagnosis_path, argv):
 def test_walk_and_adjust_commands_leave_dataclasses_unloaded(diagnosis_path, argv):
     # The bundled context is clarified and reduced, as adjust and influence need.
     out = _fresh_run(
-        f"from contrascale.cli import main\n"
+        "from contrascale.cli import main\n"
         f"assert main({[*argv, diagnosis_path, '-o', os.devnull]!r}) == 0\n"
         "import sys\nprint('dataclasses' in sys.modules)"
     )
