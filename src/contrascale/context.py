@@ -197,8 +197,11 @@ class FormalContext:
 
         Entry ``v`` of table ``k`` is the AND of the rows ``8k + j`` for the
         set bits ``j`` of ``v``, and entry 0 is every attribute (the "four
-        Russians" trick, Arlazarov et al. 1970).  Built on first use and kept.
+        Russians" trick, Arlazarov et al. 1970).  Built on the first call and
+        kept; later calls return the kept tables.
         """
+        if self._tables is not None:
+            return self._tables
         full = self.all_attributes_mask
         rows = self._rows
         tables = []

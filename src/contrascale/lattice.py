@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .context import FormalContext, indices_to_mask, mask_to_indices
+from .context import FormalContext, _Record, indices_to_mask, mask_to_indices
 
 __all__ = [
     "FormalConcept",
@@ -23,12 +22,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FormalConcept:
-    """Extent/intent pair with extent' = intent and intent' = extent."""
+class FormalConcept(_Record):
+    """Extent/intent pair with extent' = intent and intent' = extent.
 
-    extent: tuple[int, ...]
-    intent: tuple[int, ...]
+    ``extent`` and ``intent`` are sorted tuples of object and attribute indices.
+    """
+
+    __slots__ = ("extent", "intent")
 
     @property
     def extent_mask(self) -> int:
@@ -166,12 +166,10 @@ def is_boolean_suborder(s: ConceptSet, k: int) -> bool:
 # -- implications -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(_Record):
     """Premise and conclusion attribute sets, stored as sorted index tuples."""
 
-    premise: tuple[int, ...]
-    conclusion: tuple[int, ...]
+    __slots__ = ("premise", "conclusion")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "premise", tuple(sorted(set(self.premise))))
@@ -289,12 +287,19 @@ def _lectic_walk(
     the pseudo-intents (Ganter 2010).  It is a depth-first Close-by-One tree
     on an explicit stack: a set's children add one attribute above the one
     that produced it, in descending order.  That is lectic order, so every
-    pseudo-intent below a candidate is already in L.
+    pseudo-intent below a candidate is already in L.  The walk goes on into
+    a child as soon as it passes, with the parent's frame left on the stack;
+    a child with no attribute left to try leaves no frame.
 
     Every rule in L holds in the context, so a candidate's L-closure keeps
     its extent, the parent's extent AND the new column, and lies inside its
-    closure C in the context.  The walk derives C first, with one
-    ``intent_mask`` call per candidate tested, and then one L-closure.  That
+    closure C in the context.  The walk derives C first, in its own loop
+    over the context's byte tables (``FormalContext._intent_tables``): one
+    lookup per 8 objects up to the extent's highest object.  Past 64
+    objects it calls ``intent_mask`` instead, which ANDs the rows of a
+    sparse extent one by one.  A candidate that equals C is an intent and
+    needs no L-closure, which lies between the candidate and C and so would
+    add nothing.  Any other candidate costs one L-closure.  That
     closure stops once it meets an attribute below i that the set lacks, in
     which case the candidate fails canonicity, or once it equals C, since
     no rule can add more.  A canonical candidate is an intent when its
@@ -308,34 +313,43 @@ def _lectic_walk(
 
     With an attribute mask N, the walk is that of the context restricted to
     N, run on ``ctx`` itself: children add attributes of N only, and each
-    intent is ``intent_mask(extent) & N``.  The restricted context's intents
-    are the traces of the original's on N and its columns are the original's,
-    so the masks returned are those of its own walk spread back onto N.
+    intent is the context's intent of its extent, cut down to N.  The
+    restricted context's intents are the traces of the original's on N and
+    its columns are the original's, so the masks returned are those of its
+    own walk spread back onto N.
     """
     n = ctx.n_attributes
     within = ctx.all_attributes_mask if attributes is None else attributes
     cols = ctx.cols()
-    intent_mask = ctx.intent_mask
+    tables = ctx._intent_tables()
+    # Past 64 objects a sparse extent is cheaper to derive row by row, and
+    # intent_mask chooses between its rows and the tables.
+    intent_mask = ctx.intent_mask if len(tables) > 8 else None
     rules = _RuleIndex()
+    close = rules.close
     intents: list[int] = []
     extents: list[int] = []
     pseudo: list[tuple[int, int]] = []
 
-    def visit(current: int, extent: int, closed: int) -> None:
-        if closed == current:
-            intents.append(current)
-            extents.append(extent)
-        else:
-            rules.add(current, closed)
-            pseudo.append((current, closed))
-
-    top = ctx.all_objects_mask
-    visit(0, top, intent_mask(top) & within)
+    extent = ctx.all_objects_mask
+    closed = within
+    rest = extent
+    for table in tables:
+        closed &= table[rest & 255]
+        rest >>= 8
+    if closed:
+        rules.add(0, closed)
+        pseudo.append((0, closed))
+    else:
+        intents.append(0)
+        extents.append(extent)
     # A frame is a set, its extent, the attributes left to try as a mask,
     # its witnesses by attribute, and whether it owns that list.
-    stack = [(0, top, within, [0] * n, False)]
-    while stack:
-        current, extent, untried, witnesses, owned = stack.pop()
+    current, untried, witnesses, owned = 0, within, [0] * n, False
+    # The attributes of N above i, which the children of a set made with i try.
+    above = [within & ~((2 << i) - 1) for i in range(n)]
+    stack = []
+    while True:
         while untried:
             i = untried.bit_length() - 1
             bit = 1 << i
@@ -343,21 +357,39 @@ def _lectic_walk(
             if witnesses[i] & ~current:
                 continue
             child_extent = extent & cols[i]
-            closed = intent_mask(child_extent) & within
-            forbidden = (bit - 1) & ~current
-            candidate = rules.close(current | bit, forbidden, closed)
-            if candidate & forbidden:
-                if not owned:
-                    witnesses = witnesses.copy()
-                    owned = True
-                witnesses[i] = candidate & forbidden
-                continue
-            visit(candidate, child_extent, closed)
-            stack.append((current, extent, untried, witnesses, owned))
-            above = within & ~((bit << 1) - 1)
-            stack.append((candidate, child_extent, above & ~candidate, witnesses, False))
-            break
-    return intents, extents, pseudo
+            if intent_mask is None:
+                closed = within
+                rest = child_extent
+                for table in tables:
+                    closed &= table[rest & 255]
+                    rest >>= 8
+                    if not rest:
+                        break
+            else:
+                closed = intent_mask(child_extent) & within
+            candidate = current | bit
+            if candidate != closed:
+                forbidden = (bit - 1) & ~current
+                candidate = close(candidate, forbidden, closed)
+                if candidate & forbidden:
+                    if not owned:
+                        witnesses = witnesses.copy()
+                        owned = True
+                    witnesses[i] = candidate & forbidden
+                    continue
+            if candidate == closed:
+                intents.append(candidate)
+                extents.append(child_extent)
+            else:
+                rules.add(candidate, closed)
+                pseudo.append((candidate, closed))
+            child_untried = above[i] & ~candidate
+            if child_untried:
+                stack.append((current, extent, untried, witnesses, owned))
+                current, extent, untried, owned = candidate, child_extent, child_untried, False
+        if not stack:
+            return intents, extents, pseudo
+        current, extent, untried, witnesses, owned = stack.pop()
 
 
 def canonical_base(ctx: FormalContext) -> ImplicationBase:

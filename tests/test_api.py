@@ -141,8 +141,20 @@ def test_walk_commands_leave_the_rest_unloaded(diagnosis_path, argv):
         ["scales", "--count-only"],
         ["adjust", "--delta", "0.5"],
         ["influence"],
+        ["stats", "--full"],
+        ["concepts", "--count-only"],
+        ["base", "--count-only"],
     ],
-    ids=["preprocess", "scales", "scales-count-only", "adjust", "influence"],
+    ids=[
+        "preprocess",
+        "scales",
+        "scales-count-only",
+        "adjust",
+        "influence",
+        "stats-full",
+        "concepts-count-only",
+        "base-count-only",
+    ],
 )
 def test_walk_and_adjust_commands_leave_dataclasses_unloaded(diagnosis_path, argv):
     # The bundled context is clarified and reduced, as adjust and influence need.

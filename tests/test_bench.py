@@ -30,7 +30,13 @@ from contrascale.formats import dumps_cxt
 from contrascale.rng import SplitMix64, derive_seed
 from contrascale.tree import train_tree
 from contrascale.lattice import canonical_base
-from conftest import count_context_calls, count_rule_closures, random_context, reduced_42x15
+from conftest import (
+    count_context_calls,
+    count_rule_closures,
+    count_table_derivations,
+    random_context,
+    reduced_42x15,
+)
 
 
 class TestSampling:
@@ -554,19 +560,24 @@ class TestHowTheExperimentsWalk:
         bases = []
         monkeypatch.setattr(bench, "canonical_base", lambda ctx: bases.append(ctx) or canonical_base(ctx))
         selections = _count_apply_selection(monkeypatch)
-        derivations = count_context_calls(monkeypatch)
+        calls = count_context_calls(monkeypatch)
+        derivations = count_table_derivations(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         for (ctx, path), visited in zip(inputs, expected):
             bases.clear()
+            calls.clear()
             derivations.clear()
             closures.clear()
             assert main(["experiment", "structure", "--delta", "0.5", path]) == 0
             assert bases == [ctx]
             assert selections == []
             # Each of the 12 walks derives its root's intent, then one intent
-            # per candidate it closes under L; nothing else derives.
-            assert derivations == Counter(intent_mask=closures["close"] + 12)
-            assert derivations["intent_mask"] >= visited
+            # per candidate it tests, in one pass over the context's byte
+            # tables; nothing else derives.  Only a candidate that differs
+            # from its intent is closed under L.
+            assert calls == Counter()
+            assert derivations["derivations"] >= visited
+            assert closures["close"] < derivations["derivations"] - 12
         capsys.readouterr()
 
     def test_knowledge_copies_no_subcontext(self, capsys, monkeypatch, inputs):
@@ -580,17 +591,20 @@ class TestHowTheExperimentsWalk:
             ]
             expected.append(_visited_on_subcontexts(ctx, [selection, *sampled]))
         selections = _count_apply_selection(monkeypatch)
-        derivations = count_context_calls(monkeypatch)
+        calls = count_context_calls(monkeypatch)
+        derivations = count_table_derivations(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         for (ctx, path), visited in zip(inputs, expected):
+            calls.clear()
             derivations.clear()
             closures.clear()
             argv = ["experiment", "knowledge", "--seed", "3", "--repetitions", "4", "--method", "both"]
             assert main([*argv, path]) == 0
             assert selections == []
             # 11 walks: the adjusted selection's and 10 sampled ones.
-            assert derivations == Counter(intent_mask=closures["close"] + 11)
-            assert derivations["intent_mask"] >= visited
+            assert calls == Counter()
+            assert derivations["derivations"] >= visited
+            assert closures["close"] < derivations["derivations"] - 11
         capsys.readouterr()
 
 

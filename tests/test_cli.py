@@ -23,7 +23,13 @@ from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_csv, dumps_cxt, loads_csv, loads_cxt
 from contrascale.lattice import canonical_base
 from contrascale.scales import enumerate_scales
-from conftest import count_context_calls, count_rule_closures, random_context, reduced_42x15
+from conftest import (
+    count_context_calls,
+    count_rule_closures,
+    count_table_derivations,
+    random_context,
+    reduced_42x15,
+)
 
 
 @pytest.fixture
@@ -562,22 +568,31 @@ class TestConceptsAndBase:
             contexts.append(reduced_42x15(seeded(23, source)))
         # Every set the lectic walk visits is an intent or a pseudo-intent.
         # The walk derives the root's intent, then one intent per candidate
-        # it closes under L, each from the extent the candidate inherits.
+        # it tests, each from the extent the candidate inherits and each in
+        # one pass over the context's byte tables.  Only a candidate that
+        # differs from its intent is closed under L.
         visited = [base.concepts + len(base) for base in map(canonical_base, contexts)]
         calls = count_context_calls(monkeypatch)
+        tables = count_table_derivations(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         per_input = []
+        per_input_closures = []
         for ctx, least in zip(contexts, visited):
             path = tmp_path / "input.cxt"
             path.write_text(dumps_cxt(ctx))
             calls.clear()
+            tables.clear()
             closures.clear()
             assert run(capsys, *command.split(), str(path))[0] == 0
+            derivations = tables["derivations"]
             assert calls["extent_mask"] == calls["closure_mask"] == 0
-            assert calls["intent_mask"] == closures["close"] + 1
-            assert calls["intent_mask"] >= least
-            per_input.append(calls["intent_mask"])
+            assert calls["intent_mask"] == 0
+            assert derivations >= least
+            assert closures["close"] < derivations
+            per_input.append(derivations)
+            per_input_closures.append(closures["close"])
         assert per_input[:3] == [317, 4, 1]
+        assert per_input_closures[:3] == [252, 3, 0]
 
     @pytest.mark.parametrize(
         "command, source, digest",

@@ -27,7 +27,12 @@ from contrascale.lattice import (
     restrict_base_on_removal,
     _RuleIndex,
 )
-from conftest import count_context_calls, count_rule_closures, random_context
+from conftest import (
+    count_context_calls,
+    count_rule_closures,
+    count_table_derivations,
+    random_context,
+)
 from oracles import close_under
 
 
@@ -381,19 +386,27 @@ class TestCanonicalBase:
             raw = random_context(rng, 42, 15, densities=(0.7,), min_objects=42, min_attributes=15)
             contexts.append(reduce_context(clarify(raw)[0])[0])
         calls = count_context_calls(monkeypatch)
+        tables = count_table_derivations(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         per_input = []
+        per_input_closures = []
         for ctx in contexts:
             calls.clear()
+            tables.clear()
             closures.clear()
             base = canonical_base(ctx)
-            # One derivation for the root, then one derivation and one
-            # L-closure per candidate tested; every visited set is one.
-            assert calls["intent_mask"] == closures["close"] + 1
-            assert calls["intent_mask"] >= base.concepts + len(base)
+            # One derivation for the root, then one per candidate tested,
+            # each a pass over the byte tables; every visited set is one.
+            # A candidate that equals its derived intent needs no L-closure.
+            derivations = tables["derivations"]
             assert calls["extent_mask"] == calls["closure_mask"] == 0
-            per_input.append(calls["intent_mask"])
+            assert calls["intent_mask"] == 0
+            assert derivations >= base.concepts + len(base)
+            assert closures["close"] < derivations
+            per_input.append(derivations)
+            per_input_closures.append(closures["close"])
         assert per_input[:3] == [317, 4, 1]
+        assert per_input_closures[:3] == [252, 3, 0]
 
     def test_sound_and_complete(self, seeded):
         rng = seeded(411)

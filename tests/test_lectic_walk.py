@@ -2,10 +2,24 @@
 
 import sys
 
-from contrascale.context import FormalContext
+import pytest
+
+from contrascale.context import (
+    FormalContext,
+    SubcontextSelection,
+    apply_selection,
+    indices_to_mask,
+    mask_to_indices,
+)
 from contrascale.datasets import medical_diagnosis
 from contrascale.lattice import _lectic_walk, _RuleIndex, canonical_base
-from conftest import context_from_rows, random_context, reduced_42x15
+from conftest import (
+    context_from_rows,
+    count_context_calls,
+    count_table_derivations,
+    random_context,
+    reduced_42x15,
+)
 
 
 def _next_closure_walk(ctx):
@@ -70,6 +84,20 @@ def _assert_walks_agree(ctx):
     assert extents == [ctx.extent_mask(intent) for intent in intents]
 
 
+def _assert_restricted_walk_agrees(ctx, attributes):
+    """The walk masked to ``attributes`` is NextClosure's on that subcontext, spread back."""
+    sub = apply_selection(SubcontextSelection(ctx, tuple(range(ctx.n_objects)), attributes))
+
+    def spread(mask):
+        return indices_to_mask(attributes[j] for j in mask_to_indices(mask))
+
+    intents, extents, pseudo = _lectic_walk(ctx, indices_to_mask(attributes))
+    sub_intents, sub_pseudo = _next_closure_walk(sub)
+    assert intents == [spread(intent) for intent in sub_intents]
+    assert pseudo == [(spread(p), spread(closed)) for p, closed in sub_pseudo]
+    assert extents == [ctx.extent_mask(intent) for intent in intents]
+
+
 def _staircase(n):
     """Object g has attributes 0..g."""
     labels = [f"m{m}" for m in range(n)]
@@ -98,20 +126,12 @@ class TestLecticWalk:
     def test_pruning_skips_candidates_on_42x15_inputs(self, seeded, monkeypatch):
         contexts = [reduced_42x15(seeded(421, source)) for source in range(3)]
         unpruned = [_unpruned_candidates(ctx) for ctx in contexts]
-        calls = 0
-        close = _RuleIndex.close
-
-        def counted(self, *args):
-            nonlocal calls
-            calls += 1
-            return close(self, *args)
-
-        # _RuleIndex has slots, so the method is patched on the class.
-        monkeypatch.setattr(_RuleIndex, "close", counted)
+        tables = count_table_derivations(monkeypatch)
         for ctx, most in zip(contexts, unpruned):
-            calls = 0
+            tables.clear()
             _lectic_walk(ctx)
-            assert 0 < calls < most
+            # One derivation for the root, then one per candidate tested.
+            assert 0 < tables["derivations"] - 1 < most
         monkeypatch.undo()
         for ctx in contexts:
             _assert_walks_agree(ctx)
@@ -136,3 +156,41 @@ class TestLecticWalk:
         assert sorted(pseudo) == [(0, 1)] + [(1 | 1 << m, (1 << (m + 1)) - 1) for m in range(2, 200)]
         base = canonical_base(ctx)
         assert (base.concepts, len(base)) == (200, 199)
+
+
+class TestIntentDerivation:
+    """Up to 64 objects the walk reads intents from the byte tables in its own
+    loop, one lookup per 8 objects; past 64 it calls ``intent_mask``, which
+    ANDs the rows of a sparse extent one by one."""
+
+    @pytest.mark.parametrize("n_objects", [7, 8, 9, 63, 64, 65, 130])
+    def test_matches_next_closure_around_the_byte_boundaries(self, seeded, monkeypatch, n_objects):
+        rng = seeded(422, n_objects)
+        calls = count_context_calls(monkeypatch)
+        for _ in range(4):
+            ctx = random_context(rng, n_objects, 10, min_objects=n_objects, min_attributes=6)
+            calls.clear()
+            _lectic_walk(ctx)
+            assert (calls["intent_mask"] > 0) == (n_objects > 64)
+            _assert_walks_agree(ctx)
+            attributes = tuple(m for m in range(ctx.n_attributes) if rng.randrange(2))
+            _assert_restricted_walk_agrees(ctx, attributes)
+
+    def test_matches_next_closure_on_a_sparse_context_past_64_objects(self, seeded, monkeypatch):
+        rng = seeded(423)
+        ctx = random_context(rng, 300, 12, densities=(0.1,), min_objects=300, min_attributes=12)
+        sparse = 0
+        intent_mask = FormalContext.intent_mask
+
+        def counted(self, mask):
+            nonlocal sparse
+            sparse += mask.bit_length() >> 3 >= mask.bit_count()
+            return intent_mask(self, mask)
+
+        monkeypatch.setattr(FormalContext, "intent_mask", counted)
+        intents, _, _ = _lectic_walk(ctx)
+        # Most extents hold a few objects spread over 300, so the rows are ANDed.
+        assert sparse > len(intents) // 2
+        monkeypatch.undo()
+        _assert_walks_agree(ctx)
+        _assert_restricted_walk_agrees(ctx, (0, 2, 3, 5, 7, 8, 11))

@@ -1,10 +1,13 @@
 """The record types' value semantics, pinned on fixed values.
 
 Each of the twelve record types that ``preprocess``, ``scales`` and
-``adjust`` load is an immutable value: built from its fields positionally or
+``adjust`` load, and the lattice's ``FormalConcept`` and ``Implication``,
+is an immutable value: built from its fields positionally or
 by keyword, equal only to a record of its own type with equal fields, hashed
 as the tuple of its fields, shown as ``Name(field=value, ...)``, refusing to
-set or delete any attribute, and surviving pickle and copy.
+set or delete any attribute, and surviving pickle and copy.  An
+``Implication`` stores its premise and conclusion sorted and without
+duplicates.
 """
 
 import copy
@@ -21,6 +24,7 @@ from contrascale.context import (
     ReductionTrace,
     SubcontextSelection,
 )
+from contrascale.lattice import FormalConcept, Implication
 from contrascale.scales import (
     BipartiteGraph,
     ConflictGraph,
@@ -112,10 +116,25 @@ _CASES = [
         "per_attribute=(AttributeInfluence(attribute=0, label='m0', cubic_counts={2: 1},"
         " zeta_exact=Fraction(2, 1)),)))",
     ),
+    (
+        FormalConcept,
+        ("extent", "intent"),
+        ((0, 2), (1,)),
+        "FormalConcept(extent=(0, 2), intent=(1,))",
+    ),
+    (
+        Implication,
+        ("premise", "conclusion"),
+        ((0, 3), (1, 2)),
+        "Implication(premise=(0, 3), conclusion=(1, 2))",
+    ),
 ]
 
 # A dict field, here or inside a nested record, makes the field tuple unhashable.
 _UNHASHABLE = {ScaleCount, AttributeInfluence, InfluenceReport, AdjustedSelection}
+
+# These store a sorted, duplicate-free copy of each field, not the value given.
+_NORMALISED = {Implication}
 
 _IDS = [case[0].__name__ for case in _CASES]
 
@@ -131,7 +150,8 @@ def test_positional_and_keyword_construction_agree(case):
     for record in _records(case):
         assert type(record) is cls
         assert tuple(getattr(record, name) for name in names) == values
-        assert all(getattr(record, name) is value for name, value in zip(names, values))
+        if cls not in _NORMALISED:
+            assert all(getattr(record, name) is value for name, value in zip(names, values))
     mixed = cls(values[0], **dict(zip(names[1:], values[1:])))
     assert mixed == cls(*values)
 
@@ -154,7 +174,7 @@ def test_positional_match_patterns_bind_the_fields_in_order(case):
     cls, names, values, _ = case
     assert cls.__match_args__ == names
     match cls(*values):
-        case cls(first) if first is values[0]:
+        case cls(first) if first is values[0] or cls in _NORMALISED and first == values[0]:
             pass
         case _:
             pytest.fail("the first positional pattern did not bind the first field")
@@ -184,6 +204,7 @@ def test_equal_only_to_the_same_type_with_equal_fields(case):
         (ScaleFamily, ConflictGraph),
         (ContranominalScale, InfluenceReport),
         (ScaleCount, CubicSet),
+        (FormalConcept, Implication),
     ],
     ids=lambda cls: cls.__name__,
 )
@@ -260,3 +281,19 @@ def test_subcontext_selection_rejects_bad_indices(objects, attributes, message):
 def test_subcontext_selection_accepts_empty_indices():
     sel = SubcontextSelection(_CTX, (), ())
     assert (sel.object_indices, sel.attribute_indices) == ((), ())
+
+
+@pytest.mark.parametrize(
+    "premise, conclusion",
+    [((3, 0, 3), [2, 1, 1]), ([0, 3], (2, 1)), ({3, 0}, iter((1, 2)))],
+)
+def test_implication_stores_sorted_duplicate_free_tuples(premise, conclusion):
+    imp = Implication(premise, conclusion)
+    assert (imp.premise, imp.conclusion) == ((0, 3), (1, 2))
+    assert imp == Implication(premise=(0, 3), conclusion=(1, 2))
+    assert (imp.premise_mask, imp.conclusion_mask) == (0b1001, 0b110)
+
+
+def test_formal_concept_masks():
+    concept = FormalConcept((0, 2), (1,))
+    assert (concept.extent_mask, concept.intent_mask) == (0b101, 0b10)
