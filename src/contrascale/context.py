@@ -174,9 +174,7 @@ class FormalContext:
         objects (see ``_intent_tables``); a sparser one ANDs its rows one by one.
         """
         if object_mask.bit_length() >> 3 < object_mask.bit_count():
-            tables = self._tables
-            if tables is None:
-                tables = self._intent_tables()
+            tables = self._intent_tables()
             # Every table entry lies within the attributes, so -1 is the identity.
             out = -1
             for table in tables:

@@ -241,11 +241,11 @@ class _RuleIndex:
         ``forbidden``: it holds ``mask`` and lies inside the closure.
 
         ``upper`` is a set known to hold the closure, such as the closure of
-        ``mask`` in a context where every rule holds.  The closure stops as
-        soon as it equals ``upper``, since no rule can add more; the default
-        -1 equals no set.
+        ``mask`` in a context where every rule holds.  The closure stops
+        after the first round that leaves it equal to ``upper``, since no
+        rule can add more; the default -1 equals no set.
         """
-        if mask & forbidden or mask == upper:
+        if mask & forbidden:
             return mask
         conclusions = self.conclusions
         pending = self.every
@@ -295,15 +295,15 @@ def _lectic_walk(
     its extent, the parent's extent AND the new column, and lies inside its
     closure C in the context.  The walk derives C first, in its own loop
     over the context's byte tables (``FormalContext._intent_tables``): one
-    lookup per 8 objects up to the extent's highest object.  Past 64
-    objects it calls ``intent_mask`` instead, which ANDs the rows of a
-    sparse extent one by one.  A candidate that equals C is an intent and
-    needs no L-closure, which lies between the candidate and C and so would
-    add nothing.  Any other candidate costs one L-closure.  That
-    closure stops once it meets an attribute below i that the set lacks, in
-    which case the candidate fails canonicity, or once it equals C, since
-    no rule can add more.  A canonical candidate is an intent when its
-    L-closure is C, and a pseudo-intent with conclusion C when not.
+    lookup per byte of the extent that holds an object, jumping over the
+    empty bytes, so a dense extent costs one lookup per 8 objects and a
+    sparse one at most one per object.  A candidate that equals C is an
+    intent and needs no L-closure, which lies between the candidate and C
+    and so would add nothing.  Any other candidate costs one L-closure.
+    That closure stops once it meets an attribute below i that the set
+    lacks, in which case the candidate fails canonicity, or once it equals
+    C, since no rule can add more.  A canonical candidate is an intent when
+    its L-closure is C, and a pseudo-intent with conclusion C when not.
 
     The attributes a failed L-closure met are kept as a witness: the later
     siblings and their subtrees skip i while their set misses the witness,
@@ -322,9 +322,6 @@ def _lectic_walk(
     within = ctx.all_attributes_mask if attributes is None else attributes
     cols = ctx.cols()
     tables = ctx._intent_tables()
-    # Past 64 objects a sparse extent is cheaper to derive row by row, and
-    # intent_mask chooses between its rows and the tables.
-    intent_mask = ctx.intent_mask if len(tables) > 8 else None
     rules = _RuleIndex()
     close = rules.close
     intents: list[int] = []
@@ -332,11 +329,7 @@ def _lectic_walk(
     pseudo: list[tuple[int, int]] = []
 
     extent = ctx.all_objects_mask
-    closed = within
-    rest = extent
-    for table in tables:
-        closed &= table[rest & 255]
-        rest >>= 8
+    closed = ctx.intent_mask(extent) & within
     if closed:
         rules.add(0, closed)
         pseudo.append((0, closed))
@@ -357,16 +350,19 @@ def _lectic_walk(
             if witnesses[i] & ~current:
                 continue
             child_extent = extent & cols[i]
-            if intent_mask is None:
-                closed = within
-                rest = child_extent
-                for table in tables:
-                    closed &= table[rest & 255]
+            closed = within
+            rest = child_extent
+            k = 0
+            while rest:
+                if byte := rest & 255:
+                    closed &= tables[k][byte]
                     rest >>= 8
-                    if not rest:
-                        break
-            else:
-                closed = intent_mask(child_extent) & within
+                    k += 1
+                else:
+                    # Jump over the bytes with no object of the extent.
+                    skip = ((rest & -rest).bit_length() - 1) >> 3
+                    rest >>= skip << 3
+                    k += skip
             candidate = current | bit
             if candidate != closed:
                 forbidden = (bit - 1) & ~current

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
 
 from contrascale.cli import main
+from contrascale import lattice
 from contrascale.context import FormalContext, clarify, reduce_context
 from contrascale.formats import dumps_cxt
 from contrascale.lattice import _RuleIndex
@@ -57,32 +59,36 @@ def count_context_calls(monkeypatch) -> Counter:
     return calls
 
 
-def count_table_derivations(monkeypatch) -> Counter:
-    """Count passes over a context's intent byte tables, from now on.
+def count_walk_reads(monkeypatch) -> Counter:
+    """Count the lectic walk's reads of columns and of byte tables, from now on.
 
-    On a context of at most 64 objects the lectic walk derives each intent in
-    one pass over the tables, without calling ``intent_mask``.  It takes the
-    tables from ``_intent_tables``, which this wraps, so every pass it makes
-    is counted; so is each dense ``intent_mask`` once the tables are wrapped.
+    The walk reads the column a candidate adds once per candidate it tests,
+    and derives the candidate's extent and then its intent from it, so
+    ``candidates`` counts its derivations past the root's.  ``lookups``
+    counts its reads of byte table entries.  It takes both from
+    ``FormalContext.cols`` and ``FormalContext._intent_tables``, which this
+    wraps; reads by other code are not counted.
     """
     calls: Counter = Counter()
-    build = FormalContext._intent_tables
+    walk = lattice._lectic_walk.__code__
 
-    class CountedTables(tuple):
-        __slots__ = ()
+    def counting(kind):
+        class Counted(tuple):
+            __slots__ = ()
 
-        def __iter__(self):
-            calls["derivations"] += 1
-            return super().__iter__()
+            def __getitem__(self, i):
+                if sys._getframe(1).f_code is walk:
+                    calls[kind] += 1
+                return super().__getitem__(i)
 
-    def counted(self):
-        tables = build(self)
-        if not isinstance(tables, CountedTables):
-            # Copying iterates the plain tuple, so it counts no pass.
-            self._tables = tables = CountedTables(tables)
-        return tables
+        return Counted
 
-    monkeypatch.setattr(FormalContext, "_intent_tables", counted)
+    columns, table = counting("candidates"), counting("lookups")
+    cols, intent_tables = FormalContext.cols, FormalContext._intent_tables
+    monkeypatch.setattr(FormalContext, "cols", lambda self: columns(cols(self)))
+    monkeypatch.setattr(
+        FormalContext, "_intent_tables", lambda self: tuple(map(table, intent_tables(self)))
+    )
     return calls
 
 

@@ -33,7 +33,7 @@ from contrascale.lattice import canonical_base
 from conftest import (
     count_context_calls,
     count_rule_closures,
-    count_table_derivations,
+    count_walk_reads,
     random_context,
     reduced_42x15,
 )
@@ -561,23 +561,23 @@ class TestHowTheExperimentsWalk:
         monkeypatch.setattr(bench, "canonical_base", lambda ctx: bases.append(ctx) or canonical_base(ctx))
         selections = _count_apply_selection(monkeypatch)
         calls = count_context_calls(monkeypatch)
-        derivations = count_table_derivations(monkeypatch)
+        reads = count_walk_reads(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         for (ctx, path), visited in zip(inputs, expected):
             bases.clear()
             calls.clear()
-            derivations.clear()
+            reads.clear()
             closures.clear()
             assert main(["experiment", "structure", "--delta", "0.5", path]) == 0
             assert bases == [ctx]
             assert selections == []
-            # Each of the 12 walks derives its root's intent, then one intent
-            # per candidate it tests, in one pass over the context's byte
-            # tables; nothing else derives.  Only a candidate that differs
-            # from its intent is closed under L.
-            assert calls == Counter()
-            assert derivations["derivations"] >= visited
-            assert closures["close"] < derivations["derivations"] - 12
+            # Each of the 12 walks derives its root's intent through
+            # intent_mask, then one intent per candidate it tests, in its own
+            # loop; nothing else derives.  Only a candidate that differs from
+            # its intent is closed under L.
+            assert calls == Counter(intent_mask=12)
+            assert 12 + reads["candidates"] >= visited
+            assert closures["close"] < reads["candidates"]
         capsys.readouterr()
 
     def test_knowledge_copies_no_subcontext(self, capsys, monkeypatch, inputs):
@@ -592,19 +592,19 @@ class TestHowTheExperimentsWalk:
             expected.append(_visited_on_subcontexts(ctx, [selection, *sampled]))
         selections = _count_apply_selection(monkeypatch)
         calls = count_context_calls(monkeypatch)
-        derivations = count_table_derivations(monkeypatch)
+        reads = count_walk_reads(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         for (ctx, path), visited in zip(inputs, expected):
             calls.clear()
-            derivations.clear()
+            reads.clear()
             closures.clear()
             argv = ["experiment", "knowledge", "--seed", "3", "--repetitions", "4", "--method", "both"]
             assert main([*argv, path]) == 0
             assert selections == []
             # 11 walks: the adjusted selection's and 10 sampled ones.
-            assert calls == Counter()
-            assert derivations["derivations"] >= visited
-            assert closures["close"] < derivations["derivations"] - 11
+            assert calls == Counter(intent_mask=11)
+            assert 11 + reads["candidates"] >= visited
+            assert closures["close"] < reads["candidates"]
         capsys.readouterr()
 
 

@@ -26,7 +26,7 @@ from contrascale.scales import enumerate_scales
 from conftest import (
     count_context_calls,
     count_rule_closures,
-    count_table_derivations,
+    count_walk_reads,
     random_context,
     reduced_42x15,
 )
@@ -567,13 +567,13 @@ class TestConceptsAndBase:
         for source in range(2):
             contexts.append(reduced_42x15(seeded(23, source)))
         # Every set the lectic walk visits is an intent or a pseudo-intent.
-        # The walk derives the root's intent, then one intent per candidate
-        # it tests, each from the extent the candidate inherits and each in
-        # one pass over the context's byte tables.  Only a candidate that
-        # differs from its intent is closed under L.
+        # The walk derives the root's intent through intent_mask, then one
+        # intent per candidate it tests, in its own loop from the extent the
+        # candidate inherits.  Only a candidate that differs from its intent
+        # is closed under L.
         visited = [base.concepts + len(base) for base in map(canonical_base, contexts)]
         calls = count_context_calls(monkeypatch)
-        tables = count_table_derivations(monkeypatch)
+        reads = count_walk_reads(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         per_input = []
         per_input_closures = []
@@ -581,12 +581,12 @@ class TestConceptsAndBase:
             path = tmp_path / "input.cxt"
             path.write_text(dumps_cxt(ctx))
             calls.clear()
-            tables.clear()
+            reads.clear()
             closures.clear()
             assert run(capsys, *command.split(), str(path))[0] == 0
-            derivations = tables["derivations"]
+            derivations = calls["intent_mask"] + reads["candidates"]
             assert calls["extent_mask"] == calls["closure_mask"] == 0
-            assert calls["intent_mask"] == 0
+            assert calls["intent_mask"] == 1
             assert derivations >= least
             assert closures["close"] < derivations
             per_input.append(derivations)

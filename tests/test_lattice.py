@@ -30,7 +30,7 @@ from contrascale.lattice import (
 from conftest import (
     count_context_calls,
     count_rule_closures,
-    count_table_derivations,
+    count_walk_reads,
     random_context,
 )
 from oracles import close_under
@@ -386,21 +386,21 @@ class TestCanonicalBase:
             raw = random_context(rng, 42, 15, densities=(0.7,), min_objects=42, min_attributes=15)
             contexts.append(reduce_context(clarify(raw)[0])[0])
         calls = count_context_calls(monkeypatch)
-        tables = count_table_derivations(monkeypatch)
+        reads = count_walk_reads(monkeypatch)
         closures = count_rule_closures(monkeypatch)
         per_input = []
         per_input_closures = []
         for ctx in contexts:
             calls.clear()
-            tables.clear()
+            reads.clear()
             closures.clear()
             base = canonical_base(ctx)
-            # One derivation for the root, then one per candidate tested,
-            # each a pass over the byte tables; every visited set is one.
+            # One intent_mask for the root, then one derivation per candidate
+            # tested, in the walk's own loop; every visited set is one.
             # A candidate that equals its derived intent needs no L-closure.
-            derivations = tables["derivations"]
+            derivations = calls["intent_mask"] + reads["candidates"]
             assert calls["extent_mask"] == calls["closure_mask"] == 0
-            assert calls["intent_mask"] == 0
+            assert calls["intent_mask"] == 1
             assert derivations >= base.concepts + len(base)
             assert closures["close"] < derivations
             per_input.append(derivations)

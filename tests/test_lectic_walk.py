@@ -15,8 +15,7 @@ from contrascale.datasets import medical_diagnosis
 from contrascale.lattice import _lectic_walk, _RuleIndex, canonical_base
 from conftest import (
     context_from_rows,
-    count_context_calls,
-    count_table_derivations,
+    count_walk_reads,
     random_context,
     reduced_42x15,
 )
@@ -126,12 +125,11 @@ class TestLecticWalk:
     def test_pruning_skips_candidates_on_42x15_inputs(self, seeded, monkeypatch):
         contexts = [reduced_42x15(seeded(421, source)) for source in range(3)]
         unpruned = [_unpruned_candidates(ctx) for ctx in contexts]
-        tables = count_table_derivations(monkeypatch)
+        reads = count_walk_reads(monkeypatch)
         for ctx, most in zip(contexts, unpruned):
-            tables.clear()
+            reads.clear()
             _lectic_walk(ctx)
-            # One derivation for the root, then one per candidate tested.
-            assert 0 < tables["derivations"] - 1 < most
+            assert 0 < reads["candidates"] < most
         monkeypatch.undo()
         for ctx in contexts:
             _assert_walks_agree(ctx)
@@ -159,19 +157,14 @@ class TestLecticWalk:
 
 
 class TestIntentDerivation:
-    """Up to 64 objects the walk reads intents from the byte tables in its own
-    loop, one lookup per 8 objects; past 64 it calls ``intent_mask``, which
-    ANDs the rows of a sparse extent one by one."""
+    """The walk reads each candidate's intent from the byte tables in its own
+    loop, one lookup per byte of the extent that holds an object."""
 
     @pytest.mark.parametrize("n_objects", [7, 8, 9, 63, 64, 65, 130])
-    def test_matches_next_closure_around_the_byte_boundaries(self, seeded, monkeypatch, n_objects):
+    def test_matches_next_closure_around_the_byte_boundaries(self, seeded, n_objects):
         rng = seeded(422, n_objects)
-        calls = count_context_calls(monkeypatch)
         for _ in range(4):
             ctx = random_context(rng, n_objects, 10, min_objects=n_objects, min_attributes=6)
-            calls.clear()
-            _lectic_walk(ctx)
-            assert (calls["intent_mask"] > 0) == (n_objects > 64)
             _assert_walks_agree(ctx)
             attributes = tuple(m for m in range(ctx.n_attributes) if rng.randrange(2))
             _assert_restricted_walk_agrees(ctx, attributes)
@@ -179,18 +172,12 @@ class TestIntentDerivation:
     def test_matches_next_closure_on_a_sparse_context_past_64_objects(self, seeded, monkeypatch):
         rng = seeded(423)
         ctx = random_context(rng, 300, 12, densities=(0.1,), min_objects=300, min_attributes=12)
-        sparse = 0
-        intent_mask = FormalContext.intent_mask
-
-        def counted(self, mask):
-            nonlocal sparse
-            sparse += mask.bit_length() >> 3 >= mask.bit_count()
-            return intent_mask(self, mask)
-
-        monkeypatch.setattr(FormalContext, "intent_mask", counted)
-        intents, _, _ = _lectic_walk(ctx)
-        # Most extents hold a few objects spread over 300, so the rows are ANDed.
-        assert sparse > len(intents) // 2
+        reads = count_walk_reads(monkeypatch)
+        _lectic_walk(ctx)
+        # Most extents hold a few objects spread over 300, or none, so the
+        # walk jumps over most of the 38 tables a candidate could read.
+        assert len(ctx._intent_tables()) == 38
+        assert reads["lookups"] < 2 * reads["candidates"]
         monkeypatch.undo()
         _assert_walks_agree(ctx)
         _assert_restricted_walk_agrees(ctx, (0, 2, 3, 5, 7, 8, 11))
