@@ -9,7 +9,7 @@ walk count the scales and find the cubic sets that ``adjust`` scores.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .context import (
@@ -108,23 +108,36 @@ class ScaleFamily(_Record):
         return tuple(mask_to_indices(m) for m in self.witness_masks)
 
     def iter_scales(self) -> Iterator[ContranominalScale]:
-        # Class i as its (object, attributes[i]) pairs, built once per family,
-        # so that each product tuple is already a scale's pairs.
-        classes = [
-            [(g, m) for g in mask_to_indices(w)]
-            for m, w in zip(self.attributes, self.witness_masks)
-        ]
+        # Class i as its (object, attributes[i]) pairs, built once per family
+        # in one bit loop over its mask, so that each product tuple is
+        # already a scale's pairs.
+        classes = []
+        for m, w in zip(self.attributes, self.witness_masks):
+            pairs = []
+            while w:
+                low = w & -w
+                pairs.append((low.bit_length() - 1, m))
+                w ^= low
+            classes.append(pairs)
         return map(ContranominalScale, product(*classes))
 
     def is_valid_in(self, ctx: FormalContext) -> bool:
         """Whether every choice of one object per class is a scale of ``ctx``.
 
-        The attributes must ascend strictly, every class must be nonempty,
-        and each object of class i must be incident with every attribute of
-        the family except ``attributes[i]``.  That last condition belongs to
-        each object alone, so it holds exactly when every scale of the family
-        passes ``ContranominalScale.is_valid_in``.  It also makes the classes
-        pairwise disjoint, which is checked all the same.
+        The attributes must lie in range and ascend strictly, there must be
+        one class per attribute, and the classes must be nonempty, pairwise
+        disjoint and within the objects.  Each object of class i must then
+        be incident with every attribute of the family except
+        ``attributes[i]``.  That condition belongs to each object alone, so
+        it holds exactly when every scale of the family passes
+        ``ContranominalScale.is_valid_in``.
+
+        It is tested once per attribute, not once per object: with U the
+        union of the classes, it holds exactly when ``U & ~col(attributes[j])
+        == witness_masks[j]`` for every j.  The objects of U that miss
+        attribute j are then those of class j and no others, which is the
+        per-object condition read column by column, since each object of U
+        lies in exactly one class.
         """
         attrs, wits = self.attributes, self.witness_masks
         if not attrs or len(wits) != len(attrs):
@@ -133,20 +146,17 @@ class ScaleFamily(_Record):
             return False
         if any(a >= b for a, b in zip(attrs, attrs[1:])):
             return False
-        rows = ctx.rows()
-        all_objects = ctx.all_objects_mask
-        family = indices_to_mask(attrs)
-        seen = 0
-        for m, w in zip(attrs, wits):
-            if w <= 0 or w & ~all_objects or w & seen:
+        union = 0
+        for w in wits:
+            if w <= 0 or w & union:
                 return False
-            seen |= w
-            own = family & ~(1 << m)
-            while w:
-                low = w & -w
-                if rows[low.bit_length() - 1] & family != own:
-                    return False
-                w ^= low
+            union |= w
+        if union & ~ctx.all_objects_mask:
+            return False
+        cols = ctx.cols()
+        for m, w in zip(attrs, wits):
+            if union & ~cols[m] != w:
+                return False
         return True
 
 
@@ -369,26 +379,40 @@ def _min_dimension_core(ctx: FormalContext, min_dimension: int | None) -> Formal
     return FormalContext.from_masks(ctx.objects, ctx.attributes, rows)
 
 
-def enumerate_scales(
-    ctx: FormalContext, *, min_dimension: int | None = None
-) -> Iterator[ContranominalScale]:
-    """Stream every contranominal scale of ``ctx`` exactly once, in canonical order.
+def _checked_scales(
+    ctx: FormalContext, min_dimension: int | None
+) -> Iterator[Iterator[ContranominalScale]]:
+    """The scales of each family ``enumerate_scales`` streams, one iterator per family.
 
-    Each scale is yielded as its family is walked.  Every family is checked
-    once with ``ScaleFamily.is_valid_in``, which covers each of its scales.
-    ``min_dimension=k`` walks the (k-1, k-1)-core, which keeps every scale of
-    dimension >= k, and skips smaller families; it is opt-in because cores
-    silently drop small scales.  Bron-Kerbosch
-    (``enumerate_bronkerbosch``) is the independent cross-check of this
-    stream.  Scales of a clarified or reduced context map back to the
-    original through ``scales_from_clarified`` and ``scales_from_reduced``.
+    Each family is checked before its scales are built, so its assert
+    precedes its first scale.
     """
     least = min_dimension or 0
     for family in iter_scale_families(_min_dimension_core(ctx, min_dimension)):
         if family.dimension < least:
             continue
         assert family.is_valid_in(ctx)
-        yield from family.iter_scales()
+        yield family.iter_scales()
+
+
+def enumerate_scales(
+    ctx: FormalContext, *, min_dimension: int | None = None
+) -> Iterator[ContranominalScale]:
+    """Stream every contranominal scale of ``ctx`` exactly once, in canonical order.
+
+    Returns a lazy iterator: nothing is walked before the first ``next()``,
+    and each scale is built as its family is walked.  Every family is
+    checked once with ``ScaleFamily.is_valid_in``, which covers each of its
+    scales, before its first scale; the scales then pass from the family's
+    product to the caller through ``itertools.chain`` without a Python
+    frame.  ``min_dimension=k`` walks the (k-1, k-1)-core, which keeps every
+    scale of dimension >= k, and skips smaller families; it is opt-in
+    because cores silently drop small scales.  Bron-Kerbosch
+    (``enumerate_bronkerbosch``) is the independent cross-check of this
+    stream.  Scales of a clarified or reduced context map back to the
+    original through ``scales_from_clarified`` and ``scales_from_reduced``.
+    """
+    return chain.from_iterable(_checked_scales(ctx, min_dimension))
 
 
 def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> ScaleCount:

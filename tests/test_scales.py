@@ -29,7 +29,7 @@ from contrascale.scales import (
 )
 from contrascale.datasets import medical_diagnosis
 from conftest import context_from_rows, inject_duplicates, random_context
-from oracles import enumerate_bruteforce
+from oracles import enumerate_bruteforce, family_is_valid_rowwise
 
 
 def pairs_multiset(stream):
@@ -295,6 +295,166 @@ class TestFamilyCheck:
         monkeypatch.setattr(scales, "iter_scale_families", lambda ctx: iter([corrupted]))
         with pytest.raises(AssertionError):
             list(enumerate_scales(self.CTX))
+
+
+def _nonzero_mask(rng, n):
+    """A random nonzero mask of n bits, drawn as ``TestFamilyCheck`` draws it below 64."""
+    if n < 64:
+        return 1 + rng.randrange((1 << n) - 1)
+    # randrange never returns for a bound above 2**64, so wide masks are
+    # drawn 32 bits at a time.
+    mask = 0
+    while not mask:
+        for _ in range(0, n, 32):
+            mask = mask << 32 | rng.randrange(1 << 32)
+        mask &= (1 << n) - 1
+    return mask
+
+
+def _perturbed_families(rng, ctx):
+    """Four perturbations of each walked family, drawn as ``TestFamilyCheck`` draws them.
+
+    Classes redrawn at random, an object moved or shared between classes,
+    two attributes swapped, and all-new classes.
+    """
+    n = ctx.n_objects
+    for family in iter_scale_families(ctx):
+        attrs, wits = list(family.attributes), list(family.witness_masks)
+        k = len(attrs)
+        i, j = rng.randrange(k), rng.randrange(k)
+        g = 1 << rng.randrange(n)
+        redrawn = [w & _nonzero_mask(rng, n) or w for w in wits]
+        moved = wits.copy()
+        moved[i] &= ~g
+        moved[j] |= g
+        swapped_attrs = attrs.copy()
+        swapped_attrs[i], swapped_attrs[j] = attrs[j], attrs[i]
+        yield ScaleFamily(tuple(attrs), tuple(redrawn))
+        yield ScaleFamily(tuple(attrs), tuple(moved))
+        yield ScaleFamily(tuple(swapped_attrs), tuple(wits))
+        yield ScaleFamily(tuple(attrs), tuple(_nonzero_mask(rng, n) for _ in wits))
+
+
+def _wide_contexts(rng):
+    """Random contexts of 63, 64 and 70 objects, four of each."""
+    for n in (63, 64, 70):
+        for _ in range(4):
+            yield random_context(rng, n, 8, min_objects=n)
+
+
+class TestFamilyCheckAgainstRows:
+    """``ScaleFamily.is_valid_in`` against the row-by-row check it replaced."""
+
+    CTX = TestFamilyCheck.CTX
+    # g0 misses m0 and m1, g1 only m0, g2 only m1.
+    BOTH_MISSED = context_from_rows(["00", "01", "10"])
+
+    def _agree(self, family, ctx):
+        verdict = family.is_valid_in(ctx)
+        assert verdict == family_is_valid_rowwise(family, ctx)
+        return verdict
+
+    def test_walked_families(self, seeded):
+        rng = seeded(318)
+        contexts = [random_context(rng, 7, 7) for _ in range(25)]
+        for ctx in contexts + list(_wide_contexts(rng)):
+            for family in iter_scale_families(ctx):
+                assert self._agree(family, ctx)
+
+    def test_perturbed_families(self, seeded):
+        rng = seeded(313)
+        verdicts = set()
+        for _ in range(25):
+            ctx = random_context(rng, 7, 7)
+            verdicts.update(self._agree(f, ctx) for f in _perturbed_families(rng, ctx))
+        assert verdicts == {True, False}
+
+    def test_perturbed_families_of_wide_contexts(self, seeded):
+        rng = seeded(319)
+        verdicts = set()
+        for ctx in _wide_contexts(rng):
+            verdicts.update(self._agree(f, ctx) for f in _perturbed_families(rng, ctx))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "family, ctx",
+        [
+            pytest.param(ScaleFamily((0, 0, 2), (0b0011, 0b0100, 0b1000)), CTX, id="repeated-attribute"),
+            pytest.param(ScaleFamily((-1, 1, 2), (0b0011, 0b0100, 0b1000)), CTX, id="negative-attribute"),
+            pytest.param(ScaleFamily((0,), (0b10011,)), CTX, id="witness-at-n-objects"),
+            pytest.param(
+                ScaleFamily((0, 1, 2), (0b10011, 0b0100, 0b1000)), CTX, id="witness-at-n-objects-k3"
+            ),
+            pytest.param(ScaleFamily((0, 1), (0b011, 0b101)), BOTH_MISSED, id="shared-object"),
+            pytest.param(ScaleFamily((0, 2), (0b0111, 0b1000)), CTX, id="holds-own-attribute"),
+        ],
+    )
+    def test_corrupted_family(self, family, ctx):
+        # Each differs from a valid family in one point only.
+        assert not self._agree(family, ctx)
+
+    def test_valid_neighbours_of_the_corrupted_families(self):
+        assert self._agree(ScaleFamily((0,), (0b0011,)), self.CTX)
+        assert self._agree(ScaleFamily((0, 2), (0b0011, 0b1000)), self.CTX)
+        assert self._agree(ScaleFamily((0, 1), (0b010, 0b100)), self.BOTH_MISSED)
+
+    def test_witness_at_n_objects_of_wide_contexts(self, seeded):
+        # A one-attribute family passes the column identity even with an
+        # object beyond the context, so only the range test refuses it.
+        tested = 0
+        for ctx in _wide_contexts(seeded(320)):
+            n = ctx.n_objects
+            for family in iter_scale_families(ctx):
+                if family.dimension == 1:
+                    (w,) = family.witness_masks
+                    assert not self._agree(ScaleFamily(family.attributes, (w | 1 << n,)), ctx)
+                    tested += 1
+        assert tested
+
+
+class TestChainedStream:
+    CTX = TestFamilyCheck.CTX
+    VALID = TestFamilyCheck.VALID
+
+    def test_nothing_runs_before_the_first_next(self, monkeypatch):
+        calls = []
+        core, walk = scales._min_dimension_core, scales.iter_scale_families
+
+        def recorded_core(ctx, min_dimension):
+            calls.append("core")
+            return core(ctx, min_dimension)
+
+        def recorded_walk(ctx):
+            calls.append("walk")
+            return walk(ctx)
+
+        expected = [s for s in enumerate_scales(self.CTX) if s.dimension >= 2]
+        monkeypatch.setattr(scales, "_min_dimension_core", recorded_core)
+        monkeypatch.setattr(scales, "iter_scale_families", recorded_walk)
+        stream = enumerate_scales(self.CTX, min_dimension=2)
+        assert calls == []
+        first = next(stream)
+        assert calls == ["core", "walk"]
+        assert [first, *stream] == expected
+
+    def test_assert_precedes_the_first_scale_of_a_corrupted_family(self, monkeypatch):
+        corrupted = ScaleFamily((0, 1, 2), (0b0011, 0b0110, 0b1000))
+        monkeypatch.setattr(scales, "iter_scale_families", lambda ctx: iter([self.VALID, corrupted]))
+        streamed = []
+        with pytest.raises(AssertionError):
+            for scale in enumerate_scales(self.CTX):
+                streamed.append(scale)
+        assert streamed == list(self.VALID.iter_scales())
+
+    def test_min_dimension_skips_smaller_families(self):
+        ctx = make_contranominal(4)
+        # The (2, 2)-core is the whole context, so the walk reaches the
+        # families below dimension 3 and the stream must skip them.
+        core = scales._min_dimension_core(ctx, 3)
+        assert min(f.dimension for f in iter_scale_families(core)) == 1
+        streamed = list(enumerate_scales(ctx, min_dimension=3))
+        assert sorted(s.dimension for s in streamed) == [3, 3, 3, 3, 4]
+        assert streamed == [s for s in enumerate_scales(ctx) if s.dimension >= 3]
 
 
 def _zipped_scales(family):
