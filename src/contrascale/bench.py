@@ -4,13 +4,12 @@ and enumeration timing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from time import perf_counter
 from typing import Iterable, Sequence
 
 from .adjust import delta_adjust, _delta_fraction
-from .context import FormalContext, indices_to_mask
+from .context import FormalContext, _Record, indices_to_mask
 from .lattice import _lectic_walk, canonical_base
 from .rng import SplitMix64, _stream_seeds, derive_seed
 from .scales import ALGORITHMS, _bronkerbosch_scales, _family_sizes
@@ -37,13 +36,10 @@ _STREAM_FEATURES = 2
 _STREAM_STRUCTURE = 3
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int
-    delta: float | Fraction = 0.5
-    repetitions: int = 1000
-    split_fraction: float = 0.5
-    method: str = "adjusted"
+class ExperimentConfig(_Record, delta=0.5, repetitions=1000, split_fraction=0.5, method="adjusted"):
+    """The knowledge experiment's settings: ``method`` names one arm or ``"both"``."""
+
+    __slots__ = ("seed", "delta", "repetitions", "split_fraction", "method")
 
     def __post_init__(self) -> None:
         if self.method not in (*METHODS, "both"):
@@ -54,22 +50,18 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
 
 
-@dataclass(frozen=True)
-class RepetitionRecord:
-    index: int
-    label_attribute: int
-    features: tuple[int, ...]
-    accuracy: float
+class RepetitionRecord(_Record):
+    """One repetition: the label attribute, the features and the held-out accuracy."""
+
+    __slots__ = ("index", "label_attribute", "features", "accuracy")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    config: ExperimentConfig
-    mean_accuracy: float
-    std_accuracy: float
-    concept_count: float
-    base_size: float
-    repetitions: tuple[RepetitionRecord, ...] = field(repr=False)
+class ExperimentResult(_Record):
+    """One arm of the knowledge experiment, with its repetitions in order."""
+
+    __slots__ = (
+        "config", "mean_accuracy", "std_accuracy", "concept_count", "base_size", "repetitions"
+    )
 
 
 def sample_attributes(ctx: FormalContext, n: int, seed: int) -> tuple[int, ...]:
@@ -201,14 +193,8 @@ def run_knowledge_experiment(
             concept_count, base_size = _structure_metrics(ctx, selection)
         else:
             concept_count, base_size = _sampled_structure_means(ctx, len(selection), 10, cfg.seed)
-        results.append(ExperimentResult(
-            config=replace(cfg, method=method),
-            mean_accuracy=mean,
-            std_accuracy=std,
-            concept_count=concept_count,
-            base_size=base_size,
-            repetitions=tuple(arm),
-        ))
+        config = ExperimentConfig(cfg.seed, cfg.delta, cfg.repetitions, cfg.split_fraction, method)
+        results.append(ExperimentResult(config, mean, std, concept_count, base_size, tuple(arm)))
     return tuple(results)
 
 

@@ -156,9 +156,10 @@ def build_parser() -> _Parser:
     p.add_argument("--to", choices=("cxt", "csv"), help="emit the core as a context file")
 
     p = _command(sub, "scales", cmd_scales, "enumerate contranominal scales")
-    p.add_argument("--count-only", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--count-only", action="store_true")
     p.add_argument("--min-dim", type=int, help="peel a core and keep dimensions >= this")
-    p.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
+    mode.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
 
     p = _command(sub, "influence", cmd_influence, "per-attribute influence report")
     p.add_argument("--delta", help="mark the selection for this delta in the table")
@@ -174,8 +175,9 @@ def build_parser() -> _Parser:
     p.add_argument("--count-only", action="store_true")
 
     p = _command(sub, "base", cmd_base, "canonical implication base")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--pretty", action="store_true", help="one implication per line")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--count-only", action="store_true")
+    mode.add_argument("--pretty", action="store_true", help="one implication per line")
 
     p = sub.add_parser("experiment", help="structure or knowledge experiments")
     exp = p.add_subparsers(dest="experiment", required=True)
@@ -307,15 +309,20 @@ def _write_knowledge_json(
     alone, followed by a newline.  Each arm's header goes through ``_json``;
     its repetitions are formatted here, as the encoder would indent them.
     """
-    from dataclasses import asdict
-
     pad = "  " if len(results) > 1 else ""
     brace, key, item = pad + "    ", pad + "      ", pad + "        "
     between_features = ",\n" + item
     opening = "[\n" if pad else ""
     for result in results:
+        cfg = result.config
         header = _json({
-            "config": {**asdict(result.config), "delta": float(result.config.delta)},
+            "config": {
+                "seed": cfg.seed,
+                "delta": float(cfg.delta),
+                "repetitions": cfg.repetitions,
+                "split_fraction": cfg.split_fraction,
+                "method": cfg.method,
+            },
             "mean_accuracy": result.mean_accuracy,
             "std_accuracy": result.std_accuracy,
             "concept_count": result.concept_count,

@@ -265,7 +265,8 @@ class _Record:
     keyword and then calls the subclass's ``__post_init__``, if it has one;
     ``==`` with records of its own class; the hash of its field tuple; the
     repr ``Name(field=value, ...)``; positional ``match`` patterns; and
-    pickling and copying by its fields.
+    pickling and copying by its fields.  Class keywords give the trailing
+    fields defaults, as in ``class Config(_Record, rounds=1)``.
     Setting or deleting any attribute raises ``AttributeError``.  That is what
     a frozen ``dataclass`` gives.  It is not a ``dataclass`` because importing
     ``dataclasses`` and running its class decorator cost every command a
@@ -276,9 +277,12 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, **defaults: object) -> None:
         super().__init_subclass__()
         fields = cls.__slots__
+        trailing = fields[len(fields) - len(defaults):]
+        if set(defaults) != set(trailing):
+            raise TypeError(f"{cls.__qualname__} defaults must name its trailing fields")
         # Each field is stored through its slot's descriptor, since
         # __setattr__ refuses; one exec per class keeps the __init__ free of
         # loops over the fields, as in dataclasses.
@@ -289,6 +293,7 @@ class _Record:
         exec(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(body), setters)
         init = setters["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = tuple([defaults[name] for name in trailing])
         cls.__init__ = init
         cls.__match_args__ = fields
 

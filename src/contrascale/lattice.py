@@ -39,26 +39,22 @@ class FormalConcept(_Record):
         return indices_to_mask(self.intent)
 
 
-class ConceptSet:
+class ConceptSet(_Record):
     """Deduplicated concepts, sorted by intent in lexicographic order."""
 
-    def __init__(self, concepts: Iterable[FormalConcept]):
-        items = sorted(set(concepts), key=lambda c: c.intent)
-        extents = [c.extent for c in items]
-        if len(set(extents)) != len(extents):
+    __slots__ = ("concepts",)
+
+    def __post_init__(self) -> None:
+        items = tuple(sorted(set(self.concepts), key=lambda c: c.intent))
+        if len({c.extent for c in items}) != len(items):
             raise ValueError("concepts must have pairwise distinct extents")
-        self.concepts: tuple[FormalConcept, ...] = tuple(items)
+        object.__setattr__(self, "concepts", items)
 
     def __len__(self) -> int:
         return len(self.concepts)
 
     def __iter__(self) -> Iterator[FormalConcept]:
         return iter(self.concepts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConceptSet):
-            return NotImplemented
-        return self.concepts == other.concepts
 
     def __repr__(self) -> str:
         return f"ConceptSet({len(self.concepts)} concepts)"
@@ -184,7 +180,7 @@ class Implication(_Record):
         return indices_to_mask(self.conclusion)
 
 
-class ImplicationBase:
+class ImplicationBase(_Record):
     """The result of ``canonical_base``.
 
     ``concepts`` is the number of intents its lectic (Close-by-One) walk
@@ -192,9 +188,10 @@ class ImplicationBase:
     builds its concepts from the intents and extents of that same walk.
     """
 
-    def __init__(self, implications: Iterable[Implication], concepts: int):
-        self.implications: tuple[Implication, ...] = tuple(implications)
-        self.concepts = concepts
+    __slots__ = ("implications", "concepts")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "implications", tuple(self.implications))
 
     def __len__(self) -> int:
         return len(self.implications)

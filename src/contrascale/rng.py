@@ -56,8 +56,9 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound")
+        # Past 2**64 the rejection limit is 0, and no word would be accepted.
+        if not 0 < n <= 1 << 64:
+            raise ValueError("randrange needs a bound in [1, 2**64]")
         limit = (1 << 64) - ((1 << 64) % n)
         # next_u64 and _mix inlined: this is the hot path of every draw.
         state = self._state

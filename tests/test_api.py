@@ -144,6 +144,17 @@ def test_walk_commands_leave_the_rest_unloaded(diagnosis_path, argv):
         ["stats", "--full"],
         ["concepts", "--count-only"],
         ["base", "--count-only"],
+        ["convert", "--to", "csv"],
+        ["stats"],
+        ["core", "-p", "1", "-q", "1"],
+        ["scales", "--pretty"],
+        ["influence", "--pretty"],
+        ["concepts"],
+        ["base"],
+        ["base", "--pretty"],
+        ["experiment", "structure"],
+        ["experiment", "knowledge", "--seed", "1", "--repetitions", "5"],
+        ["bench"],
     ],
     ids=[
         "preprocess",
@@ -154,10 +165,23 @@ def test_walk_commands_leave_the_rest_unloaded(diagnosis_path, argv):
         "stats-full",
         "concepts-count-only",
         "base-count-only",
+        "convert",
+        "stats",
+        "core",
+        "scales-pretty",
+        "influence-pretty",
+        "concepts",
+        "base",
+        "base-pretty",
+        "experiment-structure",
+        "experiment-knowledge",
+        "bench",
     ],
 )
 def test_walk_and_adjust_commands_leave_dataclasses_unloaded(diagnosis_path, argv):
-    # The bundled context is clarified and reduced, as adjust and influence need.
+    # Every subcommand runs here, so no command of the package loads dataclasses.
+    # The bundled context is clarified and reduced, as adjust, influence and
+    # the experiments need.
     out = _fresh_run(
         "from contrascale.cli import main\n"
         f"assert main({[*argv, diagnosis_path, '-o', os.devnull]!r}) == 0\n"

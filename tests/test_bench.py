@@ -1,6 +1,5 @@
 import hashlib
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -368,7 +367,9 @@ class TestKnowledgeExperiment:
         for ctx in contexts:
             both = ExperimentConfig(seed=13, repetitions=12, method="both")
             arms = tuple(
-                run_knowledge_experiment(ctx, replace(both, method=method))[0]
+                run_knowledge_experiment(
+                    ctx, ExperimentConfig(seed=13, repetitions=12, method=method)
+                )[0]
                 for method in ("adjusted", "sampled")
             )
             assert run_knowledge_experiment(ctx, both) == arms

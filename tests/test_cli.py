@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -632,7 +631,13 @@ def _reference_knowledge_json(results):
     """The ``experiment knowledge`` output as one ``json.dumps`` of the whole payload."""
     payloads = [
         {
-            "config": {**dataclasses.asdict(r.config), "delta": float(r.config.delta)},
+            "config": {
+                "seed": r.config.seed,
+                "delta": float(r.config.delta),
+                "repetitions": r.config.repetitions,
+                "split_fraction": r.config.split_fraction,
+                "method": r.config.method,
+            },
             "mean_accuracy": r.mean_accuracy,
             "std_accuracy": r.std_accuracy,
             "concept_count": r.concept_count,
@@ -698,6 +703,8 @@ class TestKnowledgeWriter:
             chunks = []
             cli._write_knowledge_json(results, chunks.append)
             assert "".join(chunks) == _reference_knowledge_json(results)
+        # The config lists every field of ExperimentConfig, in field order.
+        assert tuple(json.loads("".join(chunks))[0]["config"]) == ExperimentConfig.__match_args__
 
 
 class TestExperiments:
@@ -894,6 +901,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["scales", "base"])
+    @pytest.mark.parametrize("flags", [["--count-only", "--pretty"], ["--pretty", "--count-only"]])
+    def test_count_only_and_pretty_are_exclusive(self, capsys, diagnosis_cxt, command, flags):
+        code, out, err = run(capsys, command, *flags, diagnosis_cxt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_stdin_without_format_names_formats_the_cli_accepts(self, capsys, monkeypatch, k4_cxt):
         code, out, err = run(capsys, "stats", "-")
         assert code == 2 and out == ""
@@ -924,7 +939,7 @@ _PINNED_HELP = {
     "influence": "c13379c86c40526fd3b7efc4ca04926ef3d5a45287378759d6e11ede4b707a83",
     "adjust": "a9fafb1638f209b7bbe8fb207634e7b77937996358f05a7d0bd92be5cc38b25b",
     "concepts": "c70ec3bcd4cc2b5339c7581d46c952e5c9db476c7a4e31002345cef7f57c81c9",
-    "base": "081425318af828ab35ccc4fbae2fcd385c6b5652f0678b3cf8237caac13d9d18",
+    "base": "095f7bc06c746bd77f12eefb268eab9a5cc022357dcfeb8410de39c20a4c47d3",
     "experiment": "b01e5e768a8496b12e058d5d616e4e268dd0b60b1680897982df7fada810367d",
     "experiment structure": "5a5bcc456febd27f3f97d3c21719ef02c7a131bf9af19ef8783c5473afd98694",
     "experiment knowledge": "4998338e2897f36f6cc41b56dd560ccc56a25d1c48d91384484f7534b398c345",

@@ -1,13 +1,17 @@
 """The record types' value semantics, pinned on fixed values.
 
 Each of the twelve record types that ``preprocess``, ``scales`` and
-``adjust`` load, and the lattice's ``FormalConcept`` and ``Implication``,
-is an immutable value: built from its fields positionally or
+``adjust`` load, the lattice's ``FormalConcept``, ``ConceptSet``,
+``Implication`` and ``ImplicationBase``, and the knowledge experiment's
+``ExperimentConfig``, ``RepetitionRecord`` and ``ExperimentResult``, is an
+immutable value: built from its fields positionally or
 by keyword, equal only to a record of its own type with equal fields, hashed
-as the tuple of its fields, shown as ``Name(field=value, ...)``, refusing to
-set or delete any attribute, and surviving pickle and copy.  An
-``Implication`` stores its premise and conclusion sorted and without
-duplicates.
+as the tuple of its fields, shown as ``Name(field=value, ...)`` (a
+``ConceptSet`` as its size), refusing to set or delete any attribute, and
+surviving pickle and copy.  An ``Implication`` stores its premise and
+conclusion sorted and without duplicates, and a ``ConceptSet`` its concepts
+without duplicates and sorted by intent.  Class keywords give a record's
+trailing fields defaults, as ``ExperimentConfig``'s.
 """
 
 import copy
@@ -18,13 +22,15 @@ from types import SimpleNamespace
 import pytest
 
 from contrascale.adjust import AdjustedSelection, AttributeInfluence, CubicSet, InfluenceReport
+from contrascale.bench import ExperimentConfig, ExperimentResult, RepetitionRecord
 from contrascale.context import (
     ClarificationMap,
     FormalContext,
     ReductionTrace,
     SubcontextSelection,
+    _Record,
 )
-from contrascale.lattice import FormalConcept, Implication
+from contrascale.lattice import ConceptSet, FormalConcept, Implication, ImplicationBase
 from contrascale.scales import (
     BipartiteGraph,
     ConflictGraph,
@@ -36,6 +42,13 @@ from contrascale.scales import (
 _CTX = FormalContext(["g0", "g1"], ["m0", "m1"], [[1, 0], [0, 1]])
 _INFLUENCE = AttributeInfluence(0, "m0", {2: 1}, Fraction(2))
 _REPORT = InfluenceReport((_INFLUENCE,))
+_CONFIG = ExperimentConfig(7, Fraction(1, 3), 5, 0.25, "sampled")
+_CONFIG_REPR = (
+    "ExperimentConfig(seed=7, delta=Fraction(1, 3), repetitions=5, split_fraction=0.25,"
+    " method='sampled')"
+)
+_REPETITION = RepetitionRecord(0, 4, (0, 1), 0.5)
+_REPETITION_REPR = "RepetitionRecord(index=0, label_attribute=4, features=(0, 1), accuracy=0.5)"
 
 # (type, field names in order, field values, repr)
 _CASES = [
@@ -128,13 +141,48 @@ _CASES = [
         ((0, 3), (1, 2)),
         "Implication(premise=(0, 3), conclusion=(1, 2))",
     ),
+    (
+        ConceptSet,
+        ("concepts",),
+        ((FormalConcept((0, 1), ()), FormalConcept((1,), (1,))),),
+        "ConceptSet(2 concepts)",
+    ),
+    (
+        ImplicationBase,
+        ("implications", "concepts"),
+        ((Implication((0,), (1,)),), 3),
+        "ImplicationBase(implications=(Implication(premise=(0,), conclusion=(1,)),),"
+        " concepts=3)",
+    ),
+    (
+        ExperimentConfig,
+        ("seed", "delta", "repetitions", "split_fraction", "method"),
+        (7, Fraction(1, 3), 5, 0.25, "sampled"),
+        _CONFIG_REPR,
+    ),
+    (
+        RepetitionRecord,
+        ("index", "label_attribute", "features", "accuracy"),
+        (0, 4, (0, 1), 0.5),
+        _REPETITION_REPR,
+    ),
+    (
+        ExperimentResult,
+        ("config", "mean_accuracy", "std_accuracy", "concept_count", "base_size", "repetitions"),
+        (_CONFIG, 0.5, 0.0, 3, 1.5, (_REPETITION,)),
+        f"ExperimentResult(config={_CONFIG_REPR}, mean_accuracy=0.5, std_accuracy=0.0,"
+        f" concept_count=3, base_size=1.5, repetitions=({_REPETITION_REPR},))",
+    ),
 ]
 
 # A dict field, here or inside a nested record, makes the field tuple unhashable.
 _UNHASHABLE = {ScaleCount, AttributeInfluence, InfluenceReport, AdjustedSelection}
 
 # These store a sorted, duplicate-free copy of each field, not the value given.
-_NORMALISED = {Implication}
+_NORMALISED = {Implication, ConceptSet}
+
+# A last field to tell each case apart by, where a type refuses ().
+_OTHER_LAST = {ExperimentConfig: "adjusted"}
 
 _IDS = [case[0].__name__ for case in _CASES]
 
@@ -159,8 +207,10 @@ def test_positional_and_keyword_construction_agree(case):
 @pytest.mark.parametrize("case", _CASES, ids=_IDS)
 def test_construction_needs_every_field_once(case):
     cls, names, values, _ = case
+    # Only the fields before those with defaults are needed.
+    required = len(names) - len(cls.__init__.__defaults__)
     with pytest.raises(TypeError):
-        cls(*values[:-1])
+        cls(*values[:required - 1])
     with pytest.raises(TypeError):
         cls(*values, values[-1])
     with pytest.raises(TypeError):
@@ -193,8 +243,9 @@ def test_equal_only_to_the_same_type_with_equal_fields(case):
     assert record == twin and not record != twin
     assert record != values
     assert record != SimpleNamespace(**dict(zip(names, values)))
-    # Every case's last field differs from (), which each type accepts there.
-    assert record != cls(*values[:-1], ())
+    # Every case's last field differs from (), which each type but
+    # ExperimentConfig accepts there, and from its _OTHER_LAST value.
+    assert record != cls(*values[:-1], _OTHER_LAST.get(cls, ()))
 
 
 @pytest.mark.parametrize(
@@ -205,6 +256,8 @@ def test_equal_only_to_the_same_type_with_equal_fields(case):
         (ContranominalScale, InfluenceReport),
         (ScaleCount, CubicSet),
         (FormalConcept, Implication),
+        (ConceptSet, InfluenceReport),
+        (AttributeInfluence, RepetitionRecord),
     ],
     ids=lambda cls: cls.__name__,
 )
@@ -297,3 +350,42 @@ def test_implication_stores_sorted_duplicate_free_tuples(premise, conclusion):
 def test_formal_concept_masks():
     concept = FormalConcept((0, 2), (1,))
     assert (concept.extent_mask, concept.intent_mask) == (0b101, 0b10)
+
+
+def test_concept_set_stores_concepts_deduplicated_and_sorted_by_intent():
+    low, high = FormalConcept((0, 1), ()), FormalConcept((1,), (1,))
+    concepts = ConceptSet([high, low, high])
+    assert concepts.concepts == (low, high)
+    assert concepts == ConceptSet(concepts=iter((low, high)))
+    assert (len(concepts), list(concepts), concepts.top()) == (2, [low, high], low)
+    with pytest.raises(ValueError, match="^concepts must have pairwise distinct extents$"):
+        ConceptSet([low, FormalConcept((0, 1), (1,))])
+
+
+def test_implication_base_stores_its_implications_as_a_tuple():
+    imps = [Implication((0,), (1,)), Implication((1,), (2,))]
+    base = ImplicationBase(iter(imps), 4)
+    assert base.implications == tuple(imps)
+    assert (len(base), list(base), base.concepts) == (2, imps, 4)
+
+
+def test_class_keywords_give_the_trailing_fields_defaults():
+    class Config(_Record, rounds=1, label="x"):
+        __slots__ = ("seed", "rounds", "label")
+
+    assert Config(3) == Config(3, 1, "x") == Config(seed=3, label="x")
+    assert Config(3, label="y", rounds=2) == Config(3, 2, "y")
+    with pytest.raises(TypeError):
+        Config()
+    assert ExperimentConfig.__init__.__defaults__ == (0.5, 1000, 0.5, "adjusted")
+    assert ExperimentConfig(1) == ExperimentConfig(1, 0.5, 1000, 0.5, "adjusted")
+    slots = {"__slots__": ("seed", "rounds", "label")}
+    for defaults in (
+        {"seed": 0},
+        {"rounds": 1},
+        {"seed": 0, "label": "x"},
+        {"label": "x", "nothing": 0},
+        {"a": 0, "seed": 0, "rounds": 1, "label": "x"},
+    ):
+        with pytest.raises(TypeError, match="^Bad defaults must name its trailing fields$"):
+            type("Bad", (_Record,), slots, **defaults)

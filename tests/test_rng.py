@@ -25,7 +25,7 @@ class ReferenceSplitMix64(SplitMix64):
 _SEEDS = [0, 1, (1 << 64) - 1] + [derive_seed(0xC0FFEE, 41, i) for i in range(20)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 1000, 2**63 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 1000, 2**63 + 1, 2**64])
 def test_randrange_draws_the_reference_stream(n):
     rejected = 0
     for seed in _SEEDS:
@@ -45,6 +45,15 @@ def test_randrange_draws_the_reference_stream(n):
 def test_randrange_rejects_a_bound_below_one():
     with pytest.raises(ValueError):
         SplitMix64(1).randrange(0)
+
+
+@pytest.mark.parametrize("n", [2**64 + 1, 2**65, 3 << 100])
+def test_randrange_rejects_a_bound_above_two_to_the_64(n):
+    # No word lies below the rejection limit there, so a draw would never end.
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=r"^randrange needs a bound in \[1, 2\*\*64\]$"):
+        rng.randrange(n)
+    assert rng.next_u64() == SplitMix64(1).next_u64()
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 5, 14, 64])
