@@ -27,18 +27,19 @@ from .context import (
     reduce_context,
 )
 from .formats import dumps_csv, dumps_cxt, infer_format, load_context
-from .scales import ALGORITHMS, ContranominalScale, count_scales, enumerate_scales
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from .adjust import InfluenceReport
     from .bench import ExperimentResult
+    from .scales import ContranominalScale
 
-# Every command needs the modules above.  Each other module is imported by
-# the command that uses it, when it runs, so no other command loads it.  Its
-# names are read from it at each call and never kept here, so a rebinding in
-# that module is seen.
+# Every command needs the modules above.  Each other module, the scale walk
+# included, is imported by the command that uses it, when it runs, so no
+# other command loads it.  Its names are read from it at each call and never
+# kept here, so a rebinding in that module is seen.  Likewise a subcommand's
+# options are declared only when the command line selects it (``_Commands``).
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -84,23 +85,55 @@ def _context_text(args: argparse.Namespace, ctx: FormalContext) -> str:
     return dumps_cxt(ctx) if args.to == "cxt" else dumps_csv(ctx)
 
 
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when ``parse_args`` first selects them.
+
+    Until then a command's entry in ``_name_parser_map`` is the ``declare``
+    that adds its options, so usage, ``--help`` and the invalid-choice error
+    list every command, in order, without building one.  The built parser
+    replaces that entry in place, which keeps the order.
+    """
+
+    def add(
+        self, name: str, summary: str, declare: Callable[[argparse.ArgumentParser], None]
+    ) -> None:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), summary))
+        self._name_parser_map[name] = declare
+
+    def __call__(self, parser, namespace, values, option_string=None):  # noqa: D102
+        name = values[0]
+        entry = self._name_parser_map[name]
+        if not isinstance(entry, argparse.ArgumentParser):
+            command = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            entry(command)
+            self._name_parser_map[name] = command
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _command(
-    sub: argparse._SubParsersAction,
+    sub: _Commands,
     name: str,
     func: Callable[[argparse.Namespace, FormalContext], None],
     summary: str,
-) -> argparse.ArgumentParser:
-    """Add subcommand ``name``, its input, ``--format`` and ``-o``; ``main`` runs ``func``."""
-    parser = sub.add_parser(name, help=summary)
-    parser.add_argument("input", help="context file, or - for stdin")
-    parser.add_argument(
-        "--format",
-        choices=("cxt", "csv"),
-        help="input format (default: from the file extension)",
-    )
-    parser.add_argument("-o", "--output", help="write to this file instead of stdout")
-    parser.set_defaults(func=func)
-    return parser
+    declare: Callable[[argparse.ArgumentParser], None],
+) -> None:
+    """Add subcommand ``name``: its input, ``--format``, ``-o``, then what ``declare`` adds.
+
+    ``main`` runs ``func``.
+    """
+
+    def declare_command(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("input", help="context file, or - for stdin")
+        parser.add_argument(
+            "--format",
+            choices=("cxt", "csv"),
+            help="input format (default: from the file extension)",
+        )
+        parser.add_argument("-o", "--output", help="write to this file instead of stdout")
+        parser.set_defaults(func=func)
+        declare(parser)
+
+    sub.add(name, summary, declare_command)
 
 
 def _algorithm_list(text: str) -> tuple[str, ...]:
@@ -108,6 +141,8 @@ def _algorithm_list(text: str) -> tuple[str, ...]:
 
     A name given twice is run once; the report has one entry per algorithm.
     """
+    from .scales import ALGORITHMS
+
     names = tuple(dict.fromkeys(a.strip() for a in text.split(",") if a.strip()))
     if not names:
         raise argparse.ArgumentTypeError("name at least one of: " + ", ".join(ALGORITHMS))
@@ -131,82 +166,117 @@ def _positive_seconds(text: str) -> float:
 
 
 def build_parser() -> _Parser:
+    """The ``contrascale`` parser; each subcommand's options are declared on first use."""
     parser = _Parser(prog="contrascale", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
 
-    p = _command(sub, "convert", cmd_convert, "convert between cxt and csv")
-    p.add_argument("--to", choices=("cxt", "csv"), required=True)
+    def convert(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--to", choices=("cxt", "csv"), required=True)
 
-    p = _command(sub, "stats", cmd_stats, "size and density descriptives")
-    p.add_argument(
-        "--full",
-        action="store_true",
-        help="also compute concept and base statistics (can be slow)",
-    )
+    _command(sub, "convert", cmd_convert, "convert between cxt and csv", convert)
 
-    p = _command(sub, "preprocess", cmd_preprocess, "clarify and/or reduce a context")
-    p.add_argument("--mode", choices=("clarify", "reduce", "both"), default="both")
-    p.add_argument("--to", choices=("cxt", "csv"), default="cxt")
-    p.add_argument("--trace", help="write the clarification/reduction trace JSON here")
+    def stats(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--full",
+            action="store_true",
+            help="also compute concept and base statistics (can be slow)",
+        )
 
-    p = _command(sub, "core", cmd_core, "peel to the (p,q)-core")
-    p.add_argument("-p", type=int, required=True, help="minimum crosses per object")
-    p.add_argument("-q", type=int, required=True, help="minimum crosses per attribute")
-    p.add_argument("--to", choices=("cxt", "csv"), help="emit the core as a context file")
+    _command(sub, "stats", cmd_stats, "size and density descriptives", stats)
 
-    p = _command(sub, "scales", cmd_scales, "enumerate contranominal scales")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--count-only", action="store_true")
-    p.add_argument("--min-dim", type=int, help="peel a core and keep dimensions >= this")
-    mode.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
+    def preprocess(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=("clarify", "reduce", "both"), default="both")
+        p.add_argument("--to", choices=("cxt", "csv"), default="cxt")
+        p.add_argument("--trace", help="write the clarification/reduction trace JSON here")
 
-    p = _command(sub, "influence", cmd_influence, "per-attribute influence report")
-    p.add_argument("--delta", help="mark the selection for this delta in the table")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--pretty", action="store_true")
-    mode.add_argument("--csv", action="store_true")
+    _command(sub, "preprocess", cmd_preprocess, "clarify and/or reduce a context", preprocess)
 
-    p = _command(sub, "adjust", cmd_adjust, "select the low-influence attribute subset")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--to", choices=("cxt", "csv"), help="emit the adjusted subcontext")
+    def core(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-p", type=int, required=True, help="minimum crosses per object")
+        p.add_argument("-q", type=int, required=True, help="minimum crosses per attribute")
+        p.add_argument("--to", choices=("cxt", "csv"), help="emit the core as a context file")
 
-    p = _command(sub, "concepts", cmd_concepts, "enumerate formal concepts")
-    p.add_argument("--count-only", action="store_true")
+    _command(sub, "core", cmd_core, "peel to the (p,q)-core", core)
 
-    p = _command(sub, "base", cmd_base, "canonical implication base")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--count-only", action="store_true")
-    mode.add_argument("--pretty", action="store_true", help="one implication per line")
+    def scales(p: argparse.ArgumentParser) -> None:
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--count-only", action="store_true")
+        mode.add_argument("--pretty", action="store_true", help="one scale per line instead of JSON")
+        p.add_argument("--min-dim", type=int, help="peel a core and keep dimensions >= this")
 
-    p = sub.add_parser("experiment", help="structure or knowledge experiments")
-    exp = p.add_subparsers(dest="experiment", required=True)
+    _command(sub, "scales", cmd_scales, "enumerate contranominal scales", scales)
 
-    ps = _command(
-        exp, "structure", cmd_experiment_structure, "concept/base shrinkage for one delta"
-    )
-    ps.add_argument("--delta", default="0.5")
-    ps.add_argument("--samples", type=int, default=10)
-    ps.add_argument("--seed", type=int, default=0)
+    def influence(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--delta", help="mark the selection for this delta in the table")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--pretty", action="store_true")
+        mode.add_argument("--csv", action="store_true")
 
-    pk = _command(exp, "knowledge", cmd_experiment_knowledge, "decision-tree label prediction")
-    pk.add_argument("--delta", default="0.5")
-    pk.add_argument("--repetitions", type=int, default=1000)
-    pk.add_argument("--split", type=float, default=0.5)
-    pk.add_argument("--seed", type=int, required=True)
-    pk.add_argument("--method", choices=("adjusted", "sampled", "both"), default="both")
-    pk.add_argument("--csv", action="store_true", help="summary CSV instead of JSON")
+    _command(sub, "influence", cmd_influence, "per-attribute influence report", influence)
 
-    p = _command(sub, "bench", cmd_bench, "time the enumeration algorithms")
-    p.add_argument(
-        "--algorithms",
-        type=_algorithm_list,
-        default=ALGORITHMS,
-        help="comma-separated subset of: " + ", ".join(ALGORITHMS),
-    )
-    p.add_argument(
-        "--timeout", type=_positive_seconds, help="per-algorithm budget in seconds (> 0)"
-    )
+    def adjust(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--delta", required=True)
+        p.add_argument("--to", choices=("cxt", "csv"), help="emit the adjusted subcontext")
+
+    _command(sub, "adjust", cmd_adjust, "select the low-influence attribute subset", adjust)
+
+    def concepts(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--count-only", action="store_true")
+
+    _command(sub, "concepts", cmd_concepts, "enumerate formal concepts", concepts)
+
+    def base(p: argparse.ArgumentParser) -> None:
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--count-only", action="store_true")
+        mode.add_argument("--pretty", action="store_true", help="one implication per line")
+
+    _command(sub, "base", cmd_base, "canonical implication base", base)
+
+    def experiment(p: argparse.ArgumentParser) -> None:
+        exp = p.add_subparsers(dest="experiment", required=True, action=_Commands)
+
+        def structure(ps: argparse.ArgumentParser) -> None:
+            ps.add_argument("--delta", default="0.5")
+            ps.add_argument("--samples", type=int, default=10)
+            ps.add_argument("--seed", type=int, default=0)
+
+        _command(
+            exp,
+            "structure",
+            cmd_experiment_structure,
+            "concept/base shrinkage for one delta",
+            structure,
+        )
+
+        def knowledge(pk: argparse.ArgumentParser) -> None:
+            pk.add_argument("--delta", default="0.5")
+            pk.add_argument("--repetitions", type=int, default=1000)
+            pk.add_argument("--split", type=float, default=0.5)
+            pk.add_argument("--seed", type=int, required=True)
+            pk.add_argument("--method", choices=("adjusted", "sampled", "both"), default="both")
+            pk.add_argument("--csv", action="store_true", help="summary CSV instead of JSON")
+
+        _command(
+            exp, "knowledge", cmd_experiment_knowledge, "decision-tree label prediction", knowledge
+        )
+
+    sub.add("experiment", "structure or knowledge experiments", experiment)
+
+    def bench(p: argparse.ArgumentParser) -> None:
+        from .scales import ALGORITHMS
+
+        p.add_argument(
+            "--algorithms",
+            type=_algorithm_list,
+            default=ALGORITHMS,
+            help="comma-separated subset of: " + ", ".join(ALGORITHMS),
+        )
+        p.add_argument(
+            "--timeout", type=_positive_seconds, help="per-algorithm budget in seconds (> 0)"
+        )
+
+    _command(sub, "bench", cmd_bench, "time the enumeration algorithms", bench)
 
     return parser
 
@@ -419,6 +489,8 @@ def cmd_core(args: argparse.Namespace, ctx: FormalContext) -> None:
 
 
 def cmd_scales(args: argparse.Namespace, ctx: FormalContext) -> None:
+    from .scales import count_scales, enumerate_scales
+
     if args.count_only:
         count = count_scales(ctx, min_dimension=args.min_dim)
         _emit(args, {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 from typing import IO
@@ -141,12 +140,15 @@ def dumps_cxt(ctx: FormalContext) -> str:
 
 
 # -- CSV --------------------------------------------------------------------
+# ``csv`` is imported by the two functions that use it, so CXT runs never load it.
 
 _TRUE_CELLS = {"1", "x", "X"}
 _FALSE_CELLS = {"0", ""}
 
 
 def loads_csv(text: str) -> FormalContext:
+    import csv
+
     # Strict mode rejects malformed quoting, such as a quoted cell that is
     # never closed, instead of reading it to the end of the text.
     reader = csv.reader(io.StringIO(text, newline=None), strict=True)
@@ -188,6 +190,8 @@ def loads_csv(text: str) -> FormalContext:
 
 
 def dumps_csv(ctx: FormalContext) -> str:
+    import csv
+
     # ``loads_csv`` reads with universal newlines, which turn every ``\r`` into
     # ``\n`` (or drop it at the end of a line), so such a label cannot be read back.
     _refuse_labels(ctx, "\r", "a carriage return, which CSV cannot hold")

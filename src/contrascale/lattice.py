@@ -180,6 +180,22 @@ class Implication(_Record):
         return indices_to_mask(self.conclusion)
 
 
+_set_premise = Implication.premise.__set__  # type: ignore[attr-defined]
+_set_conclusion = Implication.conclusion.__set__  # type: ignore[attr-defined]
+
+
+def _sorted_implication(premise: tuple[int, ...], conclusion: tuple[int, ...]) -> Implication:
+    """The ``Implication`` of two index tuples that are already sorted and duplicate-free.
+
+    It stores them as they are, without the set and sort of ``__post_init__``;
+    ``mask_to_indices`` gives such tuples.
+    """
+    imp = object.__new__(Implication)
+    _set_premise(imp, premise)
+    _set_conclusion(imp, conclusion)
+    return imp
+
+
 class ImplicationBase(_Record):
     """The result of ``canonical_base``.
 
@@ -395,7 +411,7 @@ def canonical_base(ctx: FormalContext) -> ImplicationBase:
     """
     intents, _, pseudo = _lectic_walk(ctx)
     found = [
-        Implication(mask_to_indices(premise), mask_to_indices(closed & ~premise))
+        _sorted_implication(mask_to_indices(premise), mask_to_indices(closed & ~premise))
         for premise, closed in pseudo
     ]
     found.sort(key=lambda imp: imp.premise)

@@ -84,11 +84,11 @@ def _fresh_run(code: str) -> str:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The package's submodules, and ``fractions``, that ``code`` leaves loaded."""
+    """The package's submodules, ``fractions`` and ``csv``, that ``code`` leaves loaded."""
     report = (
         "\nimport sys\n"
         "print(*(m.removeprefix('contrascale.') for m in sys.modules"
-        " if m.startswith('contrascale.') or m == 'fractions'))"
+        " if m.startswith('contrascale.') or m in ('fractions', 'csv')))"
     )
     return set(_fresh_run(code + report).split())
 
@@ -107,7 +107,7 @@ def test_package_import_loads_no_submodule():
 
 def test_cli_parser_loads_only_what_every_command_needs():
     loaded = _loaded_after("import contrascale.cli as cli\ncli.build_parser()")
-    assert loaded == {"cli", "context", "formats", "scales"}
+    assert loaded == {"cli", "context", "formats"}
 
 
 @pytest.fixture
@@ -131,6 +131,29 @@ def test_walk_commands_leave_the_rest_unloaded(diagnosis_path, argv):
     assert "cli" in loaded
     unused = {"adjust", "lattice", "bench", "tree", "rng", "datasets", "fractions"}
     assert loaded & unused == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess"],
+        ["convert", "--to", "cxt"],
+        ["stats"],
+        ["core", "-p", "1", "-q", "1"],
+        ["concepts"],
+        ["base"],
+    ],
+    ids=["preprocess", "convert-cxt", "stats", "core", "concepts", "base"],
+)
+def test_cxt_commands_leave_csv_and_the_scale_walk_unloaded(diagnosis_path, argv):
+    loaded = _loaded_by_command(*argv, diagnosis_path, "-o", os.devnull)
+    assert "cli" in loaded
+    assert loaded & {"csv", "scales"} == set()
+
+
+def test_csv_output_loads_csv_alone(diagnosis_path):
+    loaded = _loaded_by_command("convert", "--to", "csv", diagnosis_path, "-o", os.devnull)
+    assert "csv" in loaded and "scales" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -935,7 +935,7 @@ _PINNED_HELP = {
     "stats": "702220fb6e6595fae95272f3ba0d92e50f9a385a75b5bfb495d3485221f63741",
     "preprocess": "2c1b5ea85468cff8a5f1635475abb9034097c0fd4480ed7b7f576892ea0a3322",
     "core": "a1e3e8b0cc7bfb9a3eead5a7d4380adc073bfe5fffc1ce9823959fc860f114fb",
-    "scales": "5259a77be6b041d471e8dcb3ffa51fa80f312ba5d1e7530e5f2cb8624415f37a",
+    "scales": "25ca49a6d1e8853b146cb54a4b6a5e5f4d1ba5aa5fdd6ea73ca1ba589b8bda9a",
     "influence": "c13379c86c40526fd3b7efc4ca04926ef3d5a45287378759d6e11ede4b707a83",
     "adjust": "a9fafb1638f209b7bbe8fb207634e7b77937996358f05a7d0bd92be5cc38b25b",
     "concepts": "c70ec3bcd4cc2b5339c7581d46c952e5c9db476c7a4e31002345cef7f57c81c9",
@@ -957,6 +957,59 @@ def test_help_text_is_pinned(capsys, monkeypatch, command, digest):
         main([*command.split(), "--help"])
     assert done.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_fresh_parser_builds_one_argument_parser(monkeypatch):
+    # Each subcommand's parser is built when the command line first selects it.
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        cli.argparse.ArgumentParser,
+        "__init__",
+        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw),
+    )
+    cli.build_parser()
+    assert built == ["contrascale"]
+
+
+_COMMANDS = (
+    "convert", "stats", "preprocess", "core", "scales", "influence", "adjust",
+    "concepts", "base", "experiment", "bench",
+)
+
+
+def _parser_built_out_of_order(path: str) -> cli._Parser:
+    """A fresh parser that has built ``bench`` and then ``experiment knowledge``."""
+    parser = cli.build_parser()
+    parser.parse_args(["bench", path])
+    parser.parse_args(["experiment", "knowledge", "--seed", "1", path])
+    return parser
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="help pinned as argparse 3.10-3.12 lays it out")
+def test_commands_built_out_of_order_keep_the_help(capsys, monkeypatch, diagnosis_cxt):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = _parser_built_out_of_order(diagnosis_cxt)
+    for command in ("", "experiment"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*command.split(), "--help"])
+        help_text = capsys.readouterr().out
+        assert hashlib.sha256(help_text.encode()).hexdigest() == _PINNED_HELP[command]
+
+
+def _refusal(parser: cli._Parser, *argv: str) -> str:
+    with pytest.raises(cli._UsageError) as refused:
+        parser.parse_args(list(argv))
+    return str(refused.value)
+
+
+def test_commands_built_out_of_order_keep_the_invalid_choice_list(diagnosis_cxt):
+    message = _refusal(_parser_built_out_of_order(diagnosis_cxt), "nope", diagnosis_cxt)
+    assert message == _refusal(cli.build_parser(), "nope", diagnosis_cxt)
+    listed = message[message.index("(choose from"):]
+    positions = [listed.index(name) for name in _COMMANDS]
+    assert positions == sorted(positions)
+    assert listed.count(",") == len(_COMMANDS) - 1
 
 
 # Subcommands that need a clarified and reduced context, or two attributes.

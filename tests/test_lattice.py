@@ -427,6 +427,18 @@ class TestCanonicalBase:
         premises = [imp.premise for imp in base]
         assert premises == sorted(premises)
 
+    def test_implications_equal_the_normalising_constructor(self, seeded):
+        # canonical_base stores the walk's index tuples without the public
+        # constructor's set and sort; the stored fields must be what it gives.
+        rng = seeded(416)
+        contexts = [medical_diagnosis()] + [random_context(rng, 9, 9) for _ in range(60)]
+        assert sum(len(canonical_base(ctx)) for ctx in contexts) > 200
+        for ctx in contexts:
+            for imp in canonical_base(ctx):
+                normalised = Implication(imp.premise, imp.conclusion)
+                assert type(imp) is Implication
+                assert imp == normalised and hash(imp) == hash(normalised)
+
 
 def _least_respecting_superset(rules, mask, n):
     """The least superset of ``mask`` within ``n`` attributes that every rule respects."""
