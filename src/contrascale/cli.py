@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -515,7 +516,11 @@ def cmd_influence(args: argparse.Namespace, ctx: FormalContext) -> None:
     if args.pretty:
         _emit(args, _influence_table(report, delta))
     elif args.csv:
-        _emit(args, "\n".join(map(",".join, _influence_rows(report))))
+        import csv
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_influence_rows(report))
+        _emit(args, buf.getvalue())
     else:
         _emit(args, [
             {

@@ -170,19 +170,8 @@ class FormalContext:
     def intent_mask(self, object_mask: int) -> int:
         """Attributes shared by the objects in ``object_mask`` (all attributes for none).
 
-        An extent with more objects than bytes costs one table lookup per 8
-        objects (see ``_intent_tables``); a sparser one ANDs its rows one by one.
+        The AND of the objects' rows; a bit beyond the objects raises ``IndexError``.
         """
-        if object_mask.bit_length() >> 3 < object_mask.bit_count():
-            tables = self._intent_tables()
-            # Every table entry lies within the attributes, so -1 is the identity.
-            out = -1
-            for table in tables:
-                out &= table[object_mask & 255]
-                object_mask >>= 8
-                if not object_mask:
-                    return out
-            raise IndexError("object mask has bits beyond the objects")
         out = self.all_attributes_mask
         while object_mask:
             low = object_mask & -object_mask
@@ -195,8 +184,9 @@ class FormalContext:
 
         Entry ``v`` of table ``k`` is the AND of the rows ``8k + j`` for the
         set bits ``j`` of ``v``, and entry 0 is every attribute (the "four
-        Russians" trick, Arlazarov et al. 1970).  Built on the first call and
-        kept; later calls return the kept tables.
+        Russians" trick, Arlazarov et al. 1970).  ``lattice._lectic_walk``
+        is their one reader: the first walk on the context builds them, and
+        later calls return the kept tables.
         """
         if self._tables is not None:
             return self._tables

@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,6 +290,39 @@ class TestScaleStream:
         assert code == 0 and printed == ""
         assert target.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("flags", [[], ["--pretty"]], ids=["json", "pretty"])
+    def test_memory_stays_bounded_while_streaming(self, monkeypatch, tmp_path, k4_cxt, flags):
+        # 7 attributes, each missed by its own 4 objects: every attribute set
+        # carries a family, and all hold 5**7 - 1 = 78,124 scales, 23.5 MB of
+        # JSON and 5.4 MB under --pretty.  The largest holds 4**7 of them.
+        full = (1 << 7) - 1
+        ctx = FormalContext.from_masks(
+            [f"g{j}_{c}" for j in range(7) for c in range(4)],
+            [f"m{j}" for j in range(7)],
+            [full ^ (1 << j) for j in range(7) for _ in range(4)],
+        )
+        path = tmp_path / "family.cxt"
+        path.write_text(dumps_cxt(ctx))
+
+        class Sink:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        # The first run's imports would land in the peak.
+        assert main(["scales", *flags, k4_cxt]) == 0
+        sink.chars = 0
+        tracemalloc.start()
+        try:
+            assert main(["scales", *flags, str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 5_000_000 and peak < 2_000_000
+
     def test_output_file_not_created_for_bad_input(self, capsys, tmp_path):
         target = tmp_path / "scales.out"
         code, _, _ = run(capsys, "scales", str(tmp_path / "missing.cxt"), "-o", str(target))
@@ -349,6 +384,18 @@ class TestInfluenceAndAdjust:
     def test_influence_pretty_table(self, capsys, diagnosis_cxt):
         code, out, _ = run(capsys, "influence", "--pretty", "--delta", "0.5", diagnosis_cxt)
         assert "selected" in out.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "labels", [("x,y", "z"), ('"b', 'c"'), ("p q", "r\n")], ids=["comma", "quote", "newline"]
+    )
+    def test_influence_csv_quotes_the_labels(self, capsys, tmp_path, labels):
+        path = tmp_path / "awkward.csv"
+        path.write_text(dumps_csv(FormalContext.from_masks(["g", "h"], labels, [0b01, 0b10])))
+        code, out, _ = run(capsys, "influence", "--csv", str(path))
+        header, *rows = csv.reader(out.splitlines(keepends=True))
+        assert code == 0 and header == ["attribute", "2", "zeta"]
+        assert [row[0] for row in rows] == list(labels)
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_unpreprocessed_input_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "dup.csv"

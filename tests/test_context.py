@@ -18,6 +18,7 @@ from contrascale.context import (
     reduce_context,
 )
 from contrascale.datasets import medical_diagnosis
+from contrascale.lattice import _lectic_walk
 from conftest import context_from_rows, inject_duplicates, random_context
 
 
@@ -146,7 +147,7 @@ CHUNK_BOUNDARY_SIZES = (0, 1, 7, 8, 9, 16, 17, 64, 65)
 
 
 class TestIntentTables:
-    """``intent_mask`` reads 8 objects per table lookup on dense extents."""
+    """``intent_mask`` and the byte tables the lectic walk reads, at chunk boundaries."""
 
     def _extents(self, n, rng):
         yield ()
@@ -170,17 +171,13 @@ class TestIntentTables:
                 assert got == indices_to_mask(brute_derive_attributes(ctx, objs))
 
     @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
-    def test_tables_are_built_on_the_first_dense_extent(self, seeded, n):
+    def test_only_the_lectic_walk_builds_the_tables(self, seeded, n):
         ctx = random_context(seeded(113, n), n, 5, min_objects=n, min_attributes=5)
-        # One object past the first byte is sparse and takes the row loop.
-        if n > 7:
-            ctx.intent_mask(1 << (n - 1))
         ctx.intent_mask(0)
-        assert ctx._tables is None
         ctx.intent_mask(ctx.all_objects_mask)
-        assert (ctx._tables is None) == (n == 0)
-        if ctx._tables is not None:
-            assert [len(t) for t in ctx._tables] == [1 << min(8, n - k) for k in range(0, n, 8)]
+        assert ctx._tables is None
+        _lectic_walk(ctx)
+        assert [len(t) for t in ctx._tables] == [1 << min(8, n - k) for k in range(0, n, 8)]
 
     @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
     def test_bits_beyond_the_objects_are_refused(self, n):
@@ -194,12 +191,12 @@ class TestIntentTables:
         ctx = random_context(seeded(114, n), n, 6, min_objects=n, min_attributes=6)
         twin = FormalContext.from_masks(ctx.objects, ctx.attributes, ctx.rows())
         before = (hash(ctx), pickle.dumps(ctx))
-        ctx.intent_mask(ctx.all_objects_mask)
+        ctx._intent_tables()
         assert ctx == twin and twin == ctx
         assert (hash(ctx), pickle.dumps(ctx)) == before == (hash(twin), pickle.dumps(twin))
         for clone in (pickle.loads(before[1]), copy.copy(ctx), copy.deepcopy(ctx)):
             assert clone == ctx and clone._tables is None
-            assert clone.intent_mask(clone.all_objects_mask) == ctx.intent_mask(ctx.all_objects_mask)
+            assert clone._intent_tables() == ctx._intent_tables()
 
 
 class TestComplement:

@@ -13,6 +13,12 @@ The walk masked to an attribute set N is the walk of the subcontext on N,
 so its intents must be the traces on N of the full walk's intents, and each
 of its pseudo-intents a subset of N whose conclusion is its closure traced
 on N: the sub-semilattice claim behind delta-adjusting.
+
+The two walks bound each other: the intents shatter exactly the attribute
+sets that carry a contranominal scale, so by Pajor's lemma the concepts
+number at most 1 plus the sets the scale walk yields, and, dually, at most 1
+plus the distinct object sets of the scales.  A walk masked to N counts the
+concepts of the subcontext on N, so the sets inside N bound it.
 """
 
 from collections import Counter
@@ -25,8 +31,9 @@ from contrascale.context import (
     mask_to_indices,
     reduce_context,
 )
+from contrascale.datasets import medical_diagnosis
 from contrascale.lattice import _lectic_walk, canonical_base, enumerate_concepts
-from contrascale.scales import count_scales, enumerate_scales, scales_from_clarified
+from contrascale.scales import _walk, count_scales, enumerate_scales, scales_from_clarified
 from conftest import inject_duplicates, random_context, reduced_42x15
 
 
@@ -191,3 +198,59 @@ class TestScaleRelations:
             count = count_scales(raw)
             assert sum(expanded.values()) == count.total
             assert dict(sorted(expanded.items())) == count.histogram
+
+
+def scale_carrying_sets(ctx: FormalContext) -> set[int]:
+    """The attribute masks of the sets ``scales._walk`` yields, each of them once."""
+    walked = [indices_to_mask(attrs) for attrs, *_ in _walk(ctx)]
+    assert len(set(walked)) == len(walked)
+    return set(walked)
+
+
+def scale_object_sets(ctx: FormalContext) -> set[frozenset[int]]:
+    """The distinct object sets of the scales of ``ctx``."""
+    return {frozenset(s.object_indices) for s in enumerate_scales(ctx)}
+
+
+class TestShatteringBound:
+    """Pajor's lemma: a set family has at most as many members as the sets it shatters.
+
+    The intents restricted to A are every subset of A exactly when A carries
+    a scale, and the empty set is shattered too, hence the 1.  The bound is
+    an equality often enough that a walk losing a set, or a lectic walk
+    reporting one intent too many, breaks it.
+    """
+
+    def test_random_contexts(self, seeded):
+        tight = 0
+        for source in range(500):
+            ctx = random_context(seeded(470, source), 9, 9)
+            concepts = len(_lectic_walk(ctx)[0])
+            carrying = scale_carrying_sets(ctx)
+            assert concepts <= 1 + len(carrying)
+            assert concepts <= 1 + len(scale_object_sets(ctx))
+            tight += concepts == 1 + len(carrying)
+        # 210 of the 500 draws meet the bound with equality.
+        assert tight >= 150
+
+    def test_diagnosis_context(self):
+        ctx = medical_diagnosis()
+        concepts = len(_lectic_walk(ctx)[0])
+        assert concepts == 88
+        assert (len(scale_carrying_sets(ctx)), len(scale_object_sets(ctx))) == (261, 312)
+
+    def test_restricted_walks(self, seeded):
+        rng = seeded(471)
+        tight = 0
+        for source in range(12):
+            ctx = reduced_42x15(seeded(472, source))
+            carrying = scale_carrying_sets(ctx)
+            masks = [indices_to_mask(delta_adjust(ctx, "1/2").attributes)]
+            masks += [indices_to_mask(rng.sample_indices(ctx.n_attributes, 8)) for _ in range(4)]
+            for within in masks:
+                concepts = len(_lectic_walk(ctx, within)[0])
+                inside = sum(1 for walked in carrying if walked & ~within == 0)
+                assert concepts <= 1 + inside
+                tight += concepts == 1 + inside
+        # 18 of the 60 walks meet the bound with equality.
+        assert tight >= 12
