@@ -119,7 +119,16 @@ def loads_cxt(text: str) -> FormalContext:
     try:
         return FormalContext.from_masks(objects, attributes, rows)
     except ValueError as exc:
-        raise ContextParseError(base + 1, str(exc)) from None
+        # Only a repeated label fails here; name the line of its second use.
+        i = _repeat(objects)
+        line = base + 1 + (i if i is not None else n_objects + _repeat(attributes))
+        raise ContextParseError(line, str(exc)) from None
+
+
+def _repeat(labels: list[str]) -> int | None:
+    """Index of the first label that repeats an earlier one."""
+    first: dict[str, int] = {}
+    return next((i for i, label in enumerate(labels) if first.setdefault(label, i) != i), None)
 
 
 def _refuse_labels(ctx: FormalContext, chars: str, why: str) -> None:
@@ -186,7 +195,10 @@ def loads_csv(text: str) -> FormalContext:
     try:
         return FormalContext.from_masks(objects, attributes, rows)
     except ValueError as exc:
-        raise ContextParseError(1, str(exc)) from None
+        # Only a repeated label fails here: an object on its record's line, an attribute on line 1.
+        i = _repeat(objects)
+        line = 1 if i is None else [n for n, record in records[1:] if record][i]
+        raise ContextParseError(line, str(exc)) from None
 
 
 def dumps_csv(ctx: FormalContext) -> str:

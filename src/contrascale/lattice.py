@@ -132,14 +132,8 @@ def is_boolean_suborder(s: ConceptSet, k: int) -> bool:
         return False
     if len(masks) > 256:
         raise ValueError("boolean-suborder test limited to 2**8 elements")
-    if k == 0:
-        return True
-    bottom = masks[0]
-    for m in masks:
-        bottom &= m
-    if bottom not in mask_set:
-        return False
-    strictly_above = [m for m in masks if m != bottom]
+    # Meet-closed, so the meet of all masks is in the set: it is the least one.
+    strictly_above = masks[1:]
     atoms = [
         m
         for m in strictly_above
@@ -250,16 +244,15 @@ class _RuleIndex:
         """Closure of ``mask`` under the rules, cut short once it meets ``forbidden``.
 
         The closure is returned whole when it misses ``forbidden``.  Otherwise
-        the result is the first set the closure reaches that meets
-        ``forbidden``: it holds ``mask`` and lies inside the closure.
+        the result holds ``mask``, lies inside the closure and meets
+        ``forbidden``; when ``mask`` misses ``forbidden``, as in every call the
+        walk makes, it is the first set the closure reaches that meets it.
 
         ``upper`` is a set known to hold the closure, such as the closure of
         ``mask`` in a context where every rule holds.  The closure stops
         after the first round that leaves it equal to ``upper``, since no
         rule can add more; the default -1 equals no set.
         """
-        if mask & forbidden:
-            return mask
         conclusions = self.conclusions
         pending = self.every
         while True:

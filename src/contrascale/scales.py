@@ -183,13 +183,6 @@ class ConflictGraph(_Record):
 
     __slots__ = ("vertices", "edges")
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in self.vertices]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
 
 class BipartiteGraph(_Record):
     """Labels of the left and right vertices, and edges as (left, right) index pairs."""
@@ -561,7 +554,8 @@ def scales_from_reduced(
     A removed attribute x can stand in for a kept attribute n of a scale when
     n is among x's replacement witnesses and x is non-incident only where n
     is within the scale's object set; dually for removed objects.  Distinct
-    substitution choices can collide, so results are de-duplicated.
+    scales can expand to the same one, so results are de-duplicated.  Input
+    that is not a scale of the reduced context raises ``ValueError``.
     """
     kept_atts = trace.kept_attributes(ctx_original.n_attributes)
     kept_objs = trace.kept_objects(ctx_original.n_objects)
@@ -576,7 +570,9 @@ def scales_from_reduced(
     for scale in scales:
         if not all(0 <= g < len(kept_objs) and 0 <= m < len(kept_atts) for g, m in scale.pairs):
             raise ValueError("scale does not match the reduction trace")
-        base_pairs = [(kept_objs[g], kept_atts[m]) for g, m in scale.pairs]
+        base_pairs = tuple((kept_objs[g], kept_atts[m]) for g, m in scale.pairs)
+        if not ContranominalScale(base_pairs).is_valid_in(ctx_original):
+            raise ValueError("scale does not match the reduction trace")
         h_mask = indices_to_mask(g for g, _ in base_pairs)
 
         att_options = []
@@ -588,8 +584,6 @@ def scales_from_reduced(
             att_options.append(opts)
 
         for att_choice in product(*att_options):
-            if len(set(att_choice)) != len(att_choice):
-                continue
             n_mask = indices_to_mask(att_choice)
             obj_options = []
             for g, _ in base_pairs:
@@ -599,8 +593,6 @@ def scales_from_reduced(
                         opts.append(y)
                 obj_options.append(opts)
             for obj_choice in product(*obj_options):
-                if len(set(obj_choice)) != len(obj_choice):
-                    continue
                 pairs = tuple(
                     sorted(zip(obj_choice, att_choice), key=lambda p: p[1])
                 )

@@ -287,6 +287,15 @@ class TestDecisionTree:
         # Object 2 has the combination (0, 1), which no training object has.
         assert tree.accuracy(cols, cols[2], 0b100) in (0.0, 1.0)
 
+    def test_empty_sample_refused(self):
+        ctx = _context([(0, 0, 0), (1, 1, 1), (0, 1, 0)])
+        cols = ctx.cols()
+        with pytest.raises(ValueError, match="^cannot train on an empty sample$"):
+            train_tree(cols, cols[2], 0, [0, 1])
+        tree = train_tree(cols, cols[2], 0b011, [0, 1])
+        with pytest.raises(ValueError, match="^cannot score an empty sample$"):
+            tree.accuracy(cols, cols[2], 0)
+
 
 def _defined_split(n, split_fraction, seed):
     """The train and test masks of a whole shuffle of ``range(n)``, cut at ``floor(n * f)``."""
@@ -461,6 +470,10 @@ class TestStructureExperiment:
         report = run_structure_experiment(medical_diagnosis(), 1, samples=2, seed=1)
         assert report["concepts_adjusted"] == report["concepts_original"]
         assert report["base_adjusted"] == report["base_original"]
+
+    def test_no_samples_refused(self):
+        with pytest.raises(ValueError, match="^need at least one sampling seed$"):
+            run_structure_experiment(medical_diagnosis(), "0.5", samples=0)
 
     def test_delta_zero_gives_single_concept(self):
         report = run_structure_experiment(medical_diagnosis(), 0, samples=2, seed=1)

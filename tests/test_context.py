@@ -43,6 +43,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FormalContext(["a", "b"], ["x", "x"], [[1, 0], [0, 1]])
 
+    def test_not_equal_to_other_types(self):
+        ctx = make_contranominal(2)
+        assert (ctx == 5) is False
+        assert ctx != 5
+
     def test_ragged_incidence_rejected(self):
         with pytest.raises(ValueError):
             FormalContext(["a"], ["x", "y"], [[1]])
@@ -330,6 +335,11 @@ class TestPQCore:
         sel = pq_core(ctx, 2, 2)
         assert sel.object_indices == (0, 1, 2)
         assert sel.attribute_indices == (0, 1, 2)
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1)])
+    def test_negative_p_or_q_rejected(self, p, q):
+        with pytest.raises(ValueError, match="^p and q must be non-negative$"):
+            pq_core(make_contranominal(3), p, q)
 
     def test_oversized_p_empties_selection(self):
         ctx = make_contranominal(3)

@@ -76,6 +76,33 @@ class TestCxt:
         with pytest.raises(ContextParseError):
             loads_cxt("B\n\n2\n1\n\nobj\nobj\nattr\nX\n.\n")
 
+    @pytest.mark.parametrize(
+        "labels, line, what",
+        [
+            ("g\nh\ng\na\nb\n", 8, "object"),
+            ("g\nh\ni\na\na\n", 10, "attribute"),
+            ("g\ng\ng\nb\nb\n", 7, "object"),
+        ],
+    )
+    def test_duplicate_label_reported_on_its_own_line(self, labels, line, what):
+        # Lines 6 to 8 name the objects and lines 9 and 10 the attributes.
+        with pytest.raises(ContextParseError, match=f"^line {line}: {what} labels") as err:
+            loads_cxt(f"B\n\n3\n2\n\n{labels}X.\n.X\nXX\n")
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("B\nx\n1\n1\n\nobj\nattr\nX\n", 2, "expected blank line after header"),
+            ("B\n\n1\n1\nx\nobj\nattr\nX\n", 5, "expected blank line after sizes"),
+            ("B\n\n1\n1\n\nobj\nattr\nX\n\nX\n", 10, "trailing content after incidence rows"),
+        ],
+    )
+    def test_misplaced_lines(self, text, line, message):
+        with pytest.raises(ContextParseError, match=f"^line {line}: {message}$") as err:
+            loads_cxt(text)
+        assert err.value.line == line
+
     def test_truncated_file(self):
         with pytest.raises(ContextParseError):
             loads_cxt("B\n\n2\n1\n")
@@ -145,6 +172,28 @@ class TestCsv:
             loads_csv(',p\na,"1\n')
         assert err.value.line == 2
 
+    def test_empty_file(self):
+        with pytest.raises(ContextParseError, match="^line 1: empty file$") as err:
+            loads_csv("")
+        assert err.value.line == 1
+
+    def test_blank_record_between_rows_is_skipped(self):
+        assert loads_csv(",p,q\na,1,0\n\nb,0,1\n") == loads_csv(",p,q\na,1,0\nb,0,1\n")
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [
+            (",a,b\ng,1,0\nh,0,1\ng,1,1\n", 4, "object"),
+            # A blank record and a quoted line break still count as lines.
+            (',a,b\ng,1,0\n\n"h\nk",0,1\ng,1,1\n', 6, "object"),
+            (",a,a\ng,1,0\nh,0,1\n", 1, "attribute"),
+        ],
+    )
+    def test_duplicate_label_reported_on_its_own_line(self, text, line, what):
+        with pytest.raises(ContextParseError, match=f"^line {line}: {what} labels") as err:
+            loads_csv(text)
+        assert err.value.line == line
+
 
 class TestFileHandling:
     def test_save_and_load_files(self, tmp_path):
@@ -156,6 +205,13 @@ class TestFileHandling:
 
     def test_load_from_stream(self):
         assert load_context(io.StringIO(MINIMAL_CXT), "cxt").objects == ("obj",)
+
+    def test_save_to_stream(self):
+        ctx = make_contranominal(3)
+        for fmt, dumps in (("cxt", dumps_cxt), ("csv", dumps_csv)):
+            out = io.StringIO()
+            save_context(ctx, out, fmt)
+            assert out.getvalue() == dumps(ctx)
 
     def test_infer_format(self):
         assert infer_format("x.cxt") == "burmeister-cxt"

@@ -140,6 +140,11 @@ class TestAttributeConcept:
         for m in range(ctx.n_attributes):
             assert attribute_concept(ctx, m).extent == mask_to_indices(ctx.col(m))
 
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_index_out_of_range(self, m):
+        with pytest.raises(IndexError, match=f"^attribute index {m} out of range$"):
+            attribute_concept(make_contranominal(3), m)
+
 
 class TestSubMeetSemilattice:
     def test_empty_generator_set_gives_top(self, seeded):
@@ -173,6 +178,11 @@ class TestSubMeetSemilattice:
         ctx, atts = diagnosis_half_adjusted()
         assert len(generated_sub_meet_semilattice(ctx, atts)) == 29
 
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_index_out_of_range(self, m):
+        with pytest.raises(IndexError, match=f"^attribute index {m} out of range$"):
+            generated_sub_meet_semilattice(make_contranominal(3), [0, m])
+
 
 class TestBooleanSuborder:
     def test_single_top_is_zero_dimensional(self, seeded):
@@ -193,6 +203,21 @@ class TestBooleanSuborder:
         s = enumerate_concepts(ctx)
         assert len(s) == 3
         assert not is_boolean_suborder(s, 1)
+
+    def test_four_chain_is_not_a_square(self):
+        # The size fits k = 2, but the chain has one atom, not two.
+        ctx = FormalContext(
+            ["a", "b", "c", "d"], ["x", "y", "z"], [[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 0, 0]]
+        )
+        s = enumerate_concepts(ctx)
+        assert len(s) == 4
+        assert not is_boolean_suborder(s, 2)
+
+    def test_more_than_two_to_the_eight_elements_refused(self):
+        s = enumerate_concepts(make_contranominal(9))
+        assert len(s) == 512
+        with pytest.raises(ValueError, match=r"^boolean-suborder test limited to 2\*\*8 elements$"):
+            is_boolean_suborder(s, 9)
 
     def test_non_meet_closed_input_rejected(self):
         ctx = make_contranominal(2)
@@ -226,6 +251,13 @@ class TestImplicationValidity:
         ctx = random_context(seeded(408), 5, 5)
         atts = tuple(range(0, ctx.n_attributes, 2))
         assert is_valid_implication(ctx, Implication(atts, atts))
+
+    @pytest.mark.parametrize(
+        "premise, conclusion, bad", [((3,), (0,), 3), ((0,), (-1,), -1)]
+    )
+    def test_index_out_of_range(self, premise, conclusion, bad):
+        with pytest.raises(IndexError, match=f"^attribute index {bad} out of range$"):
+            is_valid_implication(make_contranominal(3), Implication(premise, conclusion))
 
     def test_contranominal_counterexample(self):
         ctx = make_contranominal(2)

@@ -56,6 +56,12 @@ def test_randrange_rejects_a_bound_above_two_to_the_64(n):
     assert rng.next_u64() == SplitMix64(1).next_u64()
 
 
+@pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
+def test_sample_indices_rejects_k_outside_zero_to_n(n, k):
+    with pytest.raises(ValueError, match=f"^cannot sample {k} from {n}$"):
+        SplitMix64(1).sample_indices(n, k)
+
+
 @pytest.mark.parametrize("size", [0, 1, 2, 5, 14, 64])
 def test_shuffle_and_sample_indices_match_the_reference(size):
     for seed in _SEEDS:

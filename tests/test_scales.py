@@ -222,6 +222,9 @@ class TestScaleCheck:
     def test_index_outside_the_context_fails(self, pairs):
         assert not ContranominalScale(pairs).is_valid_in(self.CTX)
 
+    def test_empty_scale_fails(self):
+        assert not ContranominalScale(()).is_valid_in(self.CTX)
+
 
 def _every_scale_valid(family, ctx):
     return all(s.is_valid_in(ctx) for s in family.iter_scales())
@@ -627,6 +630,27 @@ class TestReconstruction:
             list(scales_from_clarified([alien], cmap))
         with pytest.raises(ValueError, match="reduction trace"):
             list(scales_from_reduced([alien], trace, ctx))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param(((1, 0), (1, 1)), id="repeated-object"),
+            pytest.param(((0, 1), (1, 0)), id="unsorted"),
+            pytest.param(((0, 0),), id="incident-pair"),
+            pytest.param((), id="empty"),
+        ],
+    )
+    def test_what_is_not_a_scale_of_the_reduced_context_is_rejected(self, pairs):
+        # The reduced context keeps objects g1, g3 and attributes x, y; its
+        # one scale of dimension 2 is ((1, 0), (0, 1)).
+        ctx = FormalContext(
+            ["g1", "g2", "g3"],
+            ["x", "y", "z"],
+            [[1, 0, 0], [1, 1, 1], [0, 1, 0]],
+        )
+        _, trace = reduce_context(ctx)
+        with pytest.raises(ValueError, match="^scale does not match the reduction trace$"):
+            list(scales_from_reduced([ContranominalScale(pairs)], trace, ctx))
 
 
 class TestBipartiteAdapter:
