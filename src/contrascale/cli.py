@@ -301,47 +301,42 @@ class _PairText(dict):
         return text
 
 
-def _write_scale_lines(
-    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
+def _write_scales(
+    scales: Iterable[ContranominalScale],
+    ctx: FormalContext,
+    write: Callable[[str], object],
+    pretty: bool,
 ) -> None:
-    """Write one ``dim=k; pairs=(g,m),...`` line per scale; a lone newline when there is none."""
-    pair_text = _PairText(
-        [f"({g}," for g in ctx.objects], [f"{m})" for m in ctx.attributes]
-    ).__getitem__
-    headers = [f"dim={k}; pairs=" for k in range(ctx.n_attributes + 1)]
-    empty = True
-    for scale in scales:
-        pairs = scale.pairs
-        write(f"{headers[len(pairs)]}{','.join(map(pair_text, pairs))}\n")
-        empty = False
-    if empty:
-        write("\n")
+    """Write the scales as JSON, or under ``pretty`` one ``dim=k; pairs=(g,m),...`` line each.
 
-
-def _write_scales_json(
-    scales: Iterable[ContranominalScale], ctx: FormalContext, write: Callable[[str], object]
-) -> None:
-    """Write the scales as a JSON list, one chunk per scale, then a newline.
-
-    The text equals ``_json([{"dim": k, "pairs": [[object, attribute],
-    ...]}, ...])`` followed by a newline; each label is encoded once.
+    The JSON equals ``_json([{"dim": k, "pairs": [[object, attribute],
+    ...]}, ...])`` followed by a newline; each label is encoded once.  Each
+    scale is one chunk, which opens with the text that ends the scale
+    before it, and one closing chunk follows: ``"[]\n"`` or ``"\n"`` alone
+    when there is no scale.
     """
-    from json.encoder import encode_basestring_ascii
+    if pretty:
+        objects = [f"({g}," for g in ctx.objects]
+        attributes = [f"{m})" for m in ctx.attributes]
+        header, separator = "dim=%d; pairs=", ","
+        first, between, empty, closing = "", "\n", "\n", "\n"
+    else:
+        from json.encoder import encode_basestring_ascii
 
-    # A pair [g, m] is object g's text followed by attribute m's.
-    pair_text = _PairText(
-        [f'      [\n        {encode_basestring_ascii(g)},\n' for g in ctx.objects],
-        [f'        {encode_basestring_ascii(m)}\n      ]' for m in ctx.attributes],
-    ).__getitem__
-    headers = [f'  {{\n    "dim": {k},\n    "pairs": [\n' for k in range(ctx.n_attributes + 1)]
-    separator = ",\n"
-    opening = "[\n"
+        objects = [f"      [\n        {encode_basestring_ascii(g)},\n" for g in ctx.objects]
+        attributes = [f"        {encode_basestring_ascii(m)}\n      ]" for m in ctx.attributes]
+        header, separator = '  {\n    "dim": %d,\n    "pairs": [\n', ",\n"
+        first, between, empty = "[\n", "\n    ]\n  },\n", "[]\n"
+        closing = "\n    ]\n  }\n]\n"
+    # A pair (g, m) is object g's text followed by attribute m's.
+    pair_text = _PairText(objects, attributes).__getitem__
+    headers = [header % k for k in range(ctx.n_attributes + 1)]
+    opening = first
     for scale in scales:
         pairs = scale.pairs
-        body = separator.join(map(pair_text, pairs))
-        write(f'{opening}{headers[len(pairs)]}{body}\n    ]\n  }}')
-        opening = ",\n"
-    write("[]\n" if opening == "[\n" else "\n]\n")
+        write(f"{opening}{headers[len(pairs)]}{separator.join(map(pair_text, pairs))}")
+        opening = between
+    write(empty if opening == first else closing)
 
 
 def _influence_rows(report: InfluenceReport) -> list[list[str]]:
@@ -442,6 +437,13 @@ def cmd_stats(args: argparse.Namespace, ctx: FormalContext) -> None:
 
 
 def cmd_preprocess(args: argparse.Namespace, ctx: FormalContext) -> None:
+    if args.trace and args.output:
+        try:
+            same = os.path.samefile(args.trace, args.output)
+        except OSError:  # one of them is not there yet
+            same = os.path.realpath(args.trace) == os.path.realpath(args.output)
+        if same:
+            raise ValueError(f"--trace and -o name the same file: {args.output!r}")
     trace_payload: dict = {}
     if args.mode in ("clarify", "both"):
         ctx, cmap = clarify(ctx)
@@ -502,10 +504,7 @@ def cmd_scales(args: argparse.Namespace, ctx: FormalContext) -> None:
         return
     stream = enumerate_scales(ctx, min_dimension=args.min_dim)
     with _output(args) as write:
-        if args.pretty:
-            _write_scale_lines(stream, ctx, write)
-        else:
-            _write_scales_json(stream, ctx, write)
+        _write_scales(stream, ctx, write, args.pretty)
 
 
 def cmd_influence(args: argparse.Namespace, ctx: FormalContext) -> None:

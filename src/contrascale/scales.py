@@ -44,6 +44,15 @@ __all__ = [
 ALGORITHMS = ("backtracking", "bronkerbosch")
 
 
+def _scale_shaped(pairs: tuple[tuple[int, int], ...]) -> bool:
+    """Whether ``pairs`` is nonempty, with distinct objects and strictly ascending attributes."""
+    return (
+        bool(pairs)
+        and len({g for g, _ in pairs}) == len(pairs)
+        and all(p[1] < q[1] for p, q in zip(pairs, pairs[1:]))
+    )
+
+
 class ContranominalScale(_Record):
     """Witness of one scale: (object, attribute) pairs sorted by attribute.
 
@@ -71,17 +80,12 @@ class ContranominalScale(_Record):
 
     def is_valid_in(self, ctx: FormalContext) -> bool:
         pairs = self.pairs
-        if not pairs:
+        if not _scale_shaped(pairs):
             return False
         objs = [g for g, _ in pairs]
-        atts = [m for _, m in pairs]
-        if len(set(objs)) != len(objs) or len(set(atts)) != len(atts):
-            return False
-        if atts != sorted(atts):
-            return False
         if min(objs) < 0 or max(objs) >= ctx.n_objects:
             return False
-        if atts[0] < 0 or atts[-1] >= ctx.n_attributes:
+        if pairs[0][1] < 0 or pairs[-1][1] >= ctx.n_attributes:
             return False
         for i, (g, _) in enumerate(pairs):
             for j, (_, m) in enumerate(pairs):
@@ -164,15 +168,6 @@ class ScaleCount(_Record):
     """Scales in all, per dimension as ``{dimension: count}``, and the largest dimension."""
 
     __slots__ = ("total", "histogram", "max_dimension")
-
-    @classmethod
-    def from_histogram(cls, histogram: dict[int, int]) -> ScaleCount:
-        """Totals of a ``{dimension: count}`` histogram, stored sorted by dimension."""
-        return cls(
-            total=sum(histogram.values()),
-            histogram=dict(sorted(histogram.items())),
-            max_dimension=max(histogram, default=0),
-        )
 
 
 class ConflictGraph(_Record):
@@ -417,9 +412,8 @@ def count_scales(ctx: FormalContext, *, min_dimension: int | None = None) -> Sca
     totals = [0] * (core.n_attributes + 1)
     for dim, size in _family_sizes(core):
         totals[dim] += size
-    return ScaleCount.from_histogram(
-        {k: v for k, v in enumerate(totals) if v and k >= least}
-    )
+    histogram = {k: v for k, v in enumerate(totals) if v and k >= least}
+    return ScaleCount(sum(histogram.values()), histogram, max(histogram, default=0))
 
 
 def max_dimension(ctx: FormalContext) -> int:
@@ -530,16 +524,20 @@ def scales_from_clarified(
 
     Every object and attribute of a scale is substituted by each member of
     its duplicate class; the expansions of all scales are exactly the scales
-    of the unclarified context.
+    of the unclarified context.  A scale that is empty, repeats an object,
+    has attributes not strictly ascending or an index outside the map raises
+    ``ValueError``.  An incident pair is not refused: telling one needs the
+    clarified context, which the map does not hold.
     """
     obj_classes = cmap.object_classes
     att_classes = cmap.attribute_classes
     for scale in scales:
-        options = []
-        for g, m in scale.pairs:
-            if not (0 <= g < len(obj_classes) and 0 <= m < len(att_classes)):
-                raise ValueError("scale does not match the clarification map")
-            options.append([(go, mo) for mo in att_classes[m] for go in obj_classes[g]])
+        pairs = scale.pairs
+        if not _scale_shaped(pairs) or not all(
+            0 <= g < len(obj_classes) and 0 <= m < len(att_classes) for g, m in pairs
+        ):
+            raise ValueError("scale does not match the clarification map")
+        options = [[(go, mo) for mo in att_classes[m] for go in obj_classes[g]] for g, m in pairs]
         for combo in product(*options):
             yield ContranominalScale(tuple(sorted(combo, key=lambda p: p[1])))
 

@@ -181,6 +181,27 @@ class TestPreprocess:
         assert out_path.read_text() == "old output"
         assert not unopenable.parent.exists()
 
+    def test_trace_and_output_naming_one_file_are_refused(
+        self, capsys, tmp_path, monkeypatch, diagnosis_cxt
+    ):
+        # The same file by a relative path, by itself and through a detour.
+        target = tmp_path / "f.cxt"
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for other in ("f.cxt", str(target), str(tmp_path / "sub" / ".." / "f.cxt")):
+            argv = ["preprocess", "--trace", other, "-o", str(target), diagnosis_cxt]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "--trace and -o name the same file" in err
+            assert not target.exists()
+        # A file that is there keeps its bytes, also under a second name.
+        target.write_text("old output")
+        os.link(target, tmp_path / "g.cxt")
+        for other in ("f.cxt", "g.cxt"):
+            argv = ["preprocess", "-o", other, "--trace", str(target), diagnosis_cxt]
+            assert run(capsys, *argv)[0] == 2
+            assert target.read_text() == "old output"
+
 
 class TestCore:
     def test_contranominal_core_selection(self, capsys, k4_cxt):
@@ -241,16 +262,45 @@ def _reference_json(ctx, **kwargs):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _reference_lines(ctx, scales):
+    """The ``scales --pretty`` text, formatted scale by scale."""
+    lines = []
+    for scale in scales:
+        pairs = ",".join(f"({ctx.objects[g]},{ctx.attributes[m]})" for g, m in scale.pairs)
+        lines.append(f"dim={scale.dimension}; pairs={pairs}\n")
+    return "".join(lines) or "\n"
+
+
+def _written(ctx, scales, pretty):
+    """The chunks ``cli._write_scales`` writes for ``scales``."""
+    chunks = []
+    cli._write_scales(scales, ctx, chunks.append, pretty)
+    return chunks
+
+
 class TestScaleStream:
     def test_writer_matches_json_dumps(self, seeded):
         rng = seeded(401)
         for _ in range(30):
             ctx = _awkward_context(rng)
-            chunks = []
-            cli._write_scales_json(enumerate_scales(ctx), ctx, chunks.append)
-            assert "".join(chunks) == _reference_json(ctx)
-            # One chunk per scale, then the closing one.
-            assert len(chunks) == len(list(enumerate_scales(ctx))) + 1
+            stream = list(enumerate_scales(ctx))
+            assert "".join(_written(ctx, stream, False)) == _reference_json(ctx)
+            assert "".join(_written(ctx, stream, True)) == _reference_lines(ctx, stream)
+
+    @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+    def test_writer_chunks(self, seeded, pretty):
+        rng = seeded(403)
+        for _ in range(10):
+            ctx = _awkward_context(rng)
+            stream = list(enumerate_scales(ctx))
+            chunks = _written(ctx, stream, pretty)
+            # One chunk per scale, each holding its header, then the closing one.
+            assert len(chunks) == len(stream) + 1
+            header = "dim=%d; " if pretty else '"dim": %d,'
+            for scale, chunk in zip(stream, chunks):
+                assert chunk.count("dim") == 1 and header % scale.dimension in chunk
+        empty = FormalContext.from_masks(["g"], ["a"], [1])
+        assert _written(empty, enumerate_scales(empty), pretty) == ["\n" if pretty else "[]\n"]
 
     def test_cli_matches_json_dumps(self, capsys, tmp_path, seeded):
         rng = seeded(402)

@@ -37,7 +37,7 @@ from contrascale.scales import (
 )
 from oracles import enumerate_bruteforce
 from test_adjust import bruteforce_cubic_oracle
-from test_cli import _reference_json
+from test_cli import _reference_json, _reference_lines
 from test_lattice import brute_pseudo_intent_masks
 
 SHAPES = [(n, m) for n in range(5) for m in range(5)] + [(3, 5), (5, 3)]
@@ -49,15 +49,6 @@ def _row_sorted_contexts(n_objects, n_attributes):
     attributes = [f"m{j}" for j in range(n_attributes)]
     for rows in combinations_with_replacement(range(1 << n_attributes), n_objects):
         yield FormalContext.from_masks(objects, attributes, rows)
-
-
-def _reference_lines(ctx, scales):
-    """The ``scales --pretty`` text, formatted scale by scale."""
-    lines = []
-    for scale in scales:
-        pairs = ",".join(f"({ctx.objects[g]},{ctx.attributes[m]})" for g, m in scale.pairs)
-        lines.append(f"dim={scale.dimension}; pairs={pairs}\n")
-    return "".join(lines) or "\n"
 
 
 @pytest.mark.parametrize("n_objects, n_attributes", SHAPES, ids=[f"{n}x{m}" for n, m in SHAPES])
@@ -79,12 +70,11 @@ def test_scale_stream_on_every_context(n_objects, n_attributes):
             }
         for attrs, _, extent, _ in _walk(ctx):
             assert extent == ctx.extent_mask(indices_to_mask(attrs))
-        chunks = []
-        cli._write_scales_json(stream, ctx, chunks.append)
-        assert "".join(chunks) == _reference_json(ctx)
-        lines = []
-        cli._write_scale_lines(stream, ctx, lines.append)
-        assert "".join(lines) == _reference_lines(ctx, stream)
+        references = {False: _reference_json(ctx), True: _reference_lines(ctx, stream)}
+        for pretty, reference in references.items():
+            chunks = []
+            cli._write_scales(stream, ctx, chunks.append, pretty)
+            assert "".join(chunks) == reference
 
 
 @pytest.mark.parametrize("n_objects, n_attributes", SHAPES, ids=[f"{n}x{m}" for n, m in SHAPES])

@@ -225,6 +225,35 @@ class TestScaleCheck:
     def test_empty_scale_fails(self):
         assert not ContranominalScale(()).is_valid_in(self.CTX)
 
+    def test_against_the_check_written_out(self):
+        # Every tuple of up to three pairs, indices one past each end included.
+        def written_out(pairs, ctx):
+            objs = [g for g, _ in pairs]
+            atts = [m for _, m in pairs]
+            return (
+                bool(pairs)
+                and len(set(objs)) == len(objs)
+                and len(set(atts)) == len(atts)
+                and atts == sorted(atts)
+                and all(0 <= g < ctx.n_objects for g in objs)
+                and all(0 <= m < ctx.n_attributes for m in atts)
+                and all(
+                    ctx.incident(g, m) == (i != j)
+                    for i, (g, _) in enumerate(pairs)
+                    for j, (_, m) in enumerate(pairs)
+                )
+            )
+
+        ctx = FormalContext(["a", "b", "c"], ["x", "y", "z"], [[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+        cells = list(product(range(-1, 4), repeat=2))
+        verdicts = set()
+        for size in range(4):
+            for pairs in product(cells, repeat=size):
+                verdict = ContranominalScale(pairs).is_valid_in(ctx)
+                assert verdict == written_out(pairs, ctx), pairs
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 def _every_scale_valid(family, ctx):
     return all(s.is_valid_in(ctx) for s in family.iter_scales())
@@ -630,6 +659,27 @@ class TestReconstruction:
             list(scales_from_clarified([alien], cmap))
         with pytest.raises(ValueError, match="reduction trace"):
             list(scales_from_reduced([alien], trace, ctx))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param(((0, 0), (0, 1)), id="repeated-object"),
+            pytest.param(((0, 0), (1, 0)), id="repeated-attribute"),
+            pytest.param(((1, 1), (0, 0)), id="unsorted"),
+            pytest.param((), id="empty"),
+        ],
+    )
+    def test_what_is_not_shaped_as_a_scale_of_the_clarified_context_is_rejected(self, pairs):
+        # The clarified context keeps objects a, b and attributes x, z; its
+        # one scale of dimension 2 is ((0, 0), (1, 1)).
+        ctx = FormalContext(["a", "b"], ["x", "y", "z"], [[0, 0, 1], [1, 1, 0]])
+        _, cmap = clarify(ctx)
+        assert list(scales_from_clarified([ContranominalScale(((0, 0), (1, 1)))], cmap)) == [
+            ContranominalScale(((0, 0), (1, 2))),
+            ContranominalScale(((0, 1), (1, 2))),
+        ]
+        with pytest.raises(ValueError, match="^scale does not match the clarification map$"):
+            list(scales_from_clarified([ContranominalScale(pairs)], cmap))
 
     @pytest.mark.parametrize(
         "pairs",
