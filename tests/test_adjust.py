@@ -1,9 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from contrascale.adjust import (
     AttributeInfluence,
+    _delta_fraction,
     CubicSet,
     InfluenceReport,
     NotPreprocessedError,
@@ -200,6 +202,19 @@ class TestDeltaAdjust:
         ctx = preprocessed(random_context(seeded(503), 6, 6, densities=(0.5,)))
         assert delta_adjust(ctx, 0).attributes == ()
         assert delta_adjust(ctx, 1).attributes == tuple(range(ctx.n_attributes))
+
+    def test_every_form_of_a_delta_selects_alike(self):
+        ctx = medical_diagnosis()
+        want = delta_adjust(ctx, Fraction(3, 10)).attributes
+        assert len(want) == 5  # ceil(0.3 * 15)
+        for delta in ("0.3", "3/10", 0.3, Decimal("0.3")):
+            assert delta_adjust(ctx, delta).attributes == want
+        assert delta_adjust(ctx, 0).attributes == ()
+        assert delta_adjust(ctx, 1).attributes == tuple(range(ctx.n_attributes))
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            _delta_fraction("1/0")
 
     def test_out_of_range_delta(self):
         ctx = make_contranominal(2)

@@ -191,14 +191,17 @@ class TestIntentTables:
             with pytest.raises(IndexError):
                 ctx.intent_mask(mask)
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     @pytest.mark.parametrize("n", CHUNK_BOUNDARY_SIZES)
-    def test_equality_hash_and_pickle_ignore_the_tables(self, seeded, n):
+    def test_equality_hash_and_pickle_ignore_the_tables(self, seeded, n, protocol):
         ctx = random_context(seeded(114, n), n, 6, min_objects=n, min_attributes=6)
         twin = FormalContext.from_masks(ctx.objects, ctx.attributes, ctx.rows())
-        before = (hash(ctx), pickle.dumps(ctx))
+        before = (hash(ctx), pickle.dumps(ctx, protocol))
         ctx._intent_tables()
         assert ctx == twin and twin == ctx
-        assert (hash(ctx), pickle.dumps(ctx)) == before == (hash(twin), pickle.dumps(twin))
+        assert (hash(ctx), pickle.dumps(ctx, protocol)) == before == (
+            hash(twin), pickle.dumps(twin, protocol)
+        )
         for clone in (pickle.loads(before[1]), copy.copy(ctx), copy.deepcopy(ctx)):
             assert clone == ctx and clone._tables is None
             assert clone._intent_tables() == ctx._intent_tables()

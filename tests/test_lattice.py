@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -524,6 +525,21 @@ class TestRestrictBaseOnRemoval:
 
     def test_conclusion_only_implication_is_dropped(self):
         assert restrict_base_on_removal([Implication((0,), (1,))], 1) == []
+
+    def test_diagnosis_restrictions_are_pinned(self):
+        # sha256 of the (premise, conclusion) tuples returned for each
+        # attribute of the diagnosis context's canonical base, in order.
+        base = list(canonical_base(medical_diagnosis()))
+        got = [
+            [(imp.premise, imp.conclusion) for imp in restrict_base_on_removal(base, m)]
+            for m in range(15)
+        ]
+        assert [len(imps) for imps in got] == [
+            97, 63, 59, 56, 125, 48, 67, 73, 44, 77, 57, 68, 101, 42, 72
+        ]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "05b7123cb3b926b324b1567dbe4e8e5b93f888494e91a50723bba97d0ce7d4ba"
+        )
 
     def test_sound_and_complete_for_subcontext(self, seeded):
         rng = seeded(414)
