@@ -123,16 +123,11 @@ def influence(ctx: FormalContext, *, require_preprocessed: bool = True) -> Influ
 
 def _delta_fraction(delta: float | str | Fraction) -> Fraction:
     # Floats go through their shortest decimal repr so that e.g. 0.1 * 30
-    # selects 3 attributes, not 4.
-    if isinstance(delta, str):
-        try:
-            value = Fraction(delta)
-        except ZeroDivisionError:
-            raise ValueError(f"delta {delta!r} has a zero denominator") from None
-    elif isinstance(delta, Fraction):
-        value = delta
-    else:
+    # selects 3 attributes, not 4; a string and a Fraction read back as themselves.
+    try:
         value = Fraction(str(delta))
+    except ZeroDivisionError:
+        raise ValueError(f"delta {delta!r} has a zero denominator") from None
     if not 0 <= value <= 1:
         raise ValueError("delta must lie in [0, 1]")
     return value

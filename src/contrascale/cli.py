@@ -27,7 +27,7 @@ from .context import (
     pq_core,
     reduce_context,
 )
-from .formats import dumps_csv, dumps_cxt, infer_format, load_context
+from .formats import _refuse_labels, dumps_csv, dumps_cxt, infer_format, load_context
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -285,6 +285,11 @@ def build_parser() -> _Parser:
 # -- text forms -----------------------------------------------------------------
 
 
+def _refuse_line_breaks(labels: Sequence[str]) -> None:
+    """Refuse a line break in ``labels``: ``--pretty`` gives each item one line."""
+    _refuse_labels(labels, "\n\r", "a line break, which --pretty cannot hold")
+
+
 class _PairText(dict):
     """``(g, m) -> objects[g] + attributes[m]``, each pair's text built on first use.
 
@@ -502,6 +507,8 @@ def cmd_scales(args: argparse.Namespace, ctx: FormalContext) -> None:
             "histogram": {str(k): v for k, v in count.histogram.items()},
         })
         return
+    if args.pretty:
+        _refuse_line_breaks(ctx.objects + ctx.attributes)
     stream = enumerate_scales(ctx, min_dimension=args.min_dim)
     with _output(args) as write:
         _write_scales(stream, ctx, write, args.pretty)
@@ -510,6 +517,8 @@ def cmd_scales(args: argparse.Namespace, ctx: FormalContext) -> None:
 def cmd_influence(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .adjust import _delta_fraction, influence
 
+    if args.pretty:
+        _refuse_line_breaks(ctx.attributes)
     delta = None if args.delta is None else _delta_fraction(args.delta)
     report = influence(ctx)
     if args.pretty:
@@ -565,6 +574,8 @@ def cmd_concepts(args: argparse.Namespace, ctx: FormalContext) -> None:
 def cmd_base(args: argparse.Namespace, ctx: FormalContext) -> None:
     from .lattice import canonical_base
 
+    if args.pretty:
+        _refuse_line_breaks(ctx.attributes)
     base = canonical_base(ctx)
     labels = ctx.attributes
     if args.count_only:

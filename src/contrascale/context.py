@@ -228,18 +228,8 @@ class FormalContext:
         return hash((self.objects, self.attributes, self._rows))
 
     # The intent tables are a cache: pickles and copies hold the incidence only.
-    def __getstate__(self) -> tuple[None, dict[str, object]]:
-        return None, {
-            "objects": self.objects,
-            "attributes": self.attributes,
-            "_rows": self._rows,
-            "_cols": self._cols,
-        }
-
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._tables = None
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        return type(self).from_masks, (self.objects, self.attributes, self._rows)
 
     def __repr__(self) -> str:
         return (
@@ -412,9 +402,9 @@ def _duplicate_classes(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     by_mask: dict[int, list[int]] = {}
     for i, mask in enumerate(masks):
         by_mask.setdefault(mask, []).append(i)
-    classes = [tuple(v) for v in by_mask.values()]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    # A dict keeps insertion order and the indices ascend, so the classes come
+    # out by least index; so do reduce_context's witnesses, filled in index order.
+    return tuple([tuple(v) for v in by_mask.values()])
 
 
 def clarify(ctx: FormalContext) -> tuple[FormalContext, ClarificationMap]:
@@ -489,10 +479,7 @@ def reduce_context(ctx: FormalContext) -> tuple[FormalContext, ReductionTrace]:
     irr_atts, att_witness = _reducible_with_witness(ctx.cols(), ctx.all_objects_mask)
     irr_objs, obj_witness = _reducible_with_witness(ctx.rows(), ctx.all_attributes_mask)
     selection = SubcontextSelection(ctx, tuple(irr_objs), tuple(irr_atts))
-    trace = ReductionTrace(
-        removed_attributes=tuple(sorted((x, w) for x, w in att_witness.items())),
-        removed_objects=tuple(sorted((x, w) for x, w in obj_witness.items())),
-    )
+    trace = ReductionTrace(tuple(att_witness.items()), tuple(obj_witness.items()))
     return apply_selection(selection), trace
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import IO
+from typing import IO, Sequence
 
 from .context import FormalContext
 
@@ -131,15 +131,15 @@ def _repeat(labels: list[str]) -> int | None:
     return next((i for i, label in enumerate(labels) if first.setdefault(label, i) != i), None)
 
 
-def _refuse_labels(ctx: FormalContext, chars: str, why: str) -> None:
-    for label in ctx.objects + ctx.attributes:
+def _refuse_labels(labels: Sequence[str], chars: str, why: str) -> None:
+    for label in labels:
         if any(ch in label for ch in chars):
             raise ValueError(f"label {label!r} contains {why}")
 
 
 def dumps_cxt(ctx: FormalContext) -> str:
     # CXT holds one label per line, so a label with a line break cannot be read back.
-    _refuse_labels(ctx, "\n\r", "a line break, which CXT cannot hold")
+    _refuse_labels(ctx.objects + ctx.attributes, "\n\r", "a line break, which CXT cannot hold")
     out = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
@@ -206,7 +206,7 @@ def dumps_csv(ctx: FormalContext) -> str:
 
     # ``loads_csv`` reads with universal newlines, which turn every ``\r`` into
     # ``\n`` (or drop it at the end of a line), so such a label cannot be read back.
-    _refuse_labels(ctx, "\r", "a carriage return, which CSV cannot hold")
+    _refuse_labels(ctx.objects + ctx.attributes, "\r", "a carriage return, which CSV cannot hold")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(ctx.attributes))

@@ -428,17 +428,13 @@ def restrict_base_on_removal(base: Sequence[Implication], m: int) -> list[Implic
         if m in imp.conclusion and m not in imp.premise
     ]
     out: list[Implication] = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    seen: set[Implication] = set()
 
     def push(premise: Iterable[int], conclusion: Iterable[int]) -> None:
-        prem = tuple(sorted(set(premise)))
-        concl = tuple(sorted(set(conclusion) - set(prem)))
-        if not concl:
-            return
-        key = (prem, concl)
-        if key not in seen:
-            seen.add(key)
-            out.append(Implication(prem, concl))
+        imp = Implication(premise, set(conclusion).difference(premise))
+        if imp.conclusion and imp not in seen:
+            seen.add(imp)
+            out.append(imp)
 
     for imp in base:
         if m in imp.premise:

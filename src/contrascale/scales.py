@@ -489,8 +489,6 @@ def _bronkerbosch_scales(
     caller with a time budget stops the run by raising from it.
     """
     vertices = to_bipartite(ctx).edges
-    if not vertices:
-        return
     # The adjacency grows row by row, so that no stretch of it runs unchecked.
     adj: list[set[int]] = [set() for _ in vertices]
     for i, row in enumerate(_conflict_rows(ctx, vertices, check)):
@@ -542,6 +540,23 @@ def scales_from_clarified(
             yield ContranominalScale(tuple(sorted(combo, key=lambda p: p[1])))
 
 
+def _stand_ins(
+    kept: Sequence[int],
+    removed: Sequence[tuple[int, tuple[int, ...]]],
+    other: int,
+    lines: Sequence[int],
+) -> list[list[int]]:
+    """For each kept index i: i, then each removed x that can stand in for it.
+
+    x can when i is among x's witnesses and, within ``other``, ``lines[x]``
+    lacks only what ``lines[i]`` lacks.
+    """
+    return [
+        [i] + [x for x, witness in removed if i in witness and other & ~lines[x] & lines[i] == 0]
+        for i in kept
+    ]
+
+
 def scales_from_reduced(
     scales: Iterable[ContranominalScale],
     trace: ReductionTrace,
@@ -557,10 +572,6 @@ def scales_from_reduced(
     """
     kept_atts = trace.kept_attributes(ctx_original.n_attributes)
     kept_objs = trace.kept_objects(ctx_original.n_objects)
-    removed_atts = trace.removed_attributes
-    removed_objs = trace.removed_objects
-    all_objs = ctx_original.all_objects_mask
-    all_atts = ctx_original.all_attributes_mask
     cols = ctx_original.cols()
     rows = ctx_original.rows()
     seen: set[tuple[tuple[int, int], ...]] = set()
@@ -571,25 +582,11 @@ def scales_from_reduced(
         base_pairs = tuple((kept_objs[g], kept_atts[m]) for g, m in scale.pairs)
         if not ContranominalScale(base_pairs).is_valid_in(ctx_original):
             raise ValueError("scale does not match the reduction trace")
-        h_mask = indices_to_mask(g for g, _ in base_pairs)
-
-        att_options = []
-        for _, m in base_pairs:
-            opts = [m]
-            for x, witness in removed_atts:
-                if m in witness and (h_mask & ~cols[x] & all_objs) & cols[m] == 0:
-                    opts.append(x)
-            att_options.append(opts)
-
+        objs = [g for g, _ in base_pairs]
+        atts = [m for _, m in base_pairs]
+        att_options = _stand_ins(atts, trace.removed_attributes, indices_to_mask(objs), cols)
         for att_choice in product(*att_options):
-            n_mask = indices_to_mask(att_choice)
-            obj_options = []
-            for g, _ in base_pairs:
-                opts = [g]
-                for y, witness in removed_objs:
-                    if g in witness and (n_mask & ~rows[y] & all_atts) & rows[g] == 0:
-                        opts.append(y)
-                obj_options.append(opts)
+            obj_options = _stand_ins(objs, trace.removed_objects, indices_to_mask(att_choice), rows)
             for obj_choice in product(*obj_options):
                 pairs = tuple(
                     sorted(zip(obj_choice, att_choice), key=lambda p: p[1])

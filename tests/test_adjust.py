@@ -5,7 +5,6 @@ import pytest
 
 from contrascale.adjust import (
     AttributeInfluence,
-    _delta_fraction,
     CubicSet,
     InfluenceReport,
     NotPreprocessedError,
@@ -13,6 +12,7 @@ from contrascale.adjust import (
     delta_adjust,
     influence,
     select_attributes,
+    _delta_fraction,
 )
 from contrascale.context import (
     FormalContext,

@@ -126,6 +126,49 @@ class TestConvert:
             assert run(capsys, "convert", "--format", "cxt", "--to", "csv", "-") == (0, expected, "")
 
 
+class TestPrettyLabels:
+    # ``--pretty`` writes one line per scale, table row or implication; the
+    # scales print object and attribute labels, the other two attributes only.
+    BROKEN_OBJECT = ',x,b\n"g\nh",0,1\nk,1,0\n'
+    BROKEN_ATTRIBUTE = ',"x\ny",b\ng,0,1\nk,1,0\n'
+
+    @pytest.mark.parametrize(
+        "command, text, label",
+        [
+            ("scales", BROKEN_OBJECT, "'g\\nh'"),
+            ("scales", BROKEN_ATTRIBUTE, "'x\\ny'"),
+            ("influence", BROKEN_ATTRIBUTE, "'x\\ny'"),
+            ("base", BROKEN_ATTRIBUTE, "'x\\ny'"),
+        ],
+        ids=["scales-object", "scales-attribute", "influence", "base"],
+    )
+    def test_label_with_line_break_is_data_error(self, capsys, tmp_path, command, text, label):
+        path = tmp_path / "nl.csv"
+        path.write_text(text)
+        out_path = tmp_path / "out.txt"
+        for target in ([], ["-o", str(out_path)]):
+            code, out, err = run(capsys, command, "--pretty", str(path), *target)
+            assert (code, out) == (2, "")
+            assert err == f"error: label {label} contains a line break, which --pretty cannot hold\n"
+        assert not out_path.exists()
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0
+        json.loads(out)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("influence", BROKEN_OBJECT), ("base", ',x,b,c\n"g\nh",0,1,1\nk,1,0,0\n')],
+        ids=["influence", "base"],
+    )
+    def test_object_label_with_line_break_is_not_printed(self, capsys, tmp_path, command, text):
+        broken, joined = tmp_path / "nl.csv", tmp_path / "joined.csv"
+        broken.write_text(text)
+        joined.write_text(text.replace('"g\nh"', "gh"))
+        code, out, _ = run(capsys, command, "--pretty", str(broken))
+        assert code == 0 and out.count("\n") > 1
+        assert (code, out, "") == run(capsys, command, "--pretty", str(joined))
+
+
 class TestPreprocess:
     def test_clarify_reduce_with_trace(self, capsys, tmp_path):
         ctx_path = tmp_path / "dup.csv"
