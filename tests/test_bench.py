@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -465,6 +466,9 @@ class TestStructureExperiment:
         assert report["base_original"] == 40
         assert report["base_adjusted"] == 11
         assert report["sampled_means"]["samples"] == 10
+        # Every form of one delta gives the same payload, its "delta" included.
+        for delta in ("1/2", 0.5, Fraction(1, 2), Decimal("0.5")):
+            assert run_structure_experiment(medical_diagnosis(), delta, seed=1) == report
 
     def test_delta_one_changes_nothing(self):
         report = run_structure_experiment(medical_diagnosis(), 1, samples=2, seed=1)
@@ -486,6 +490,11 @@ class TestStructureExperiment:
         duplicated = FormalContext(["g", "h", "i"], ["a", "b"], [[1, 0], [1, 0], [0, 1]])
         with pytest.raises(NotPreprocessedError):
             run_structure_experiment(duplicated, "0.5")
+        assert walked == []
+        # A delta that does not parse is refused before delta_adjust walks.
+        monkeypatch.setattr(adjust, "influence", lambda ctx, **kw: walked.append(ctx))
+        with pytest.raises(ValueError, match="zero denominator"):
+            run_structure_experiment(medical_diagnosis(), "1/0")
         assert walked == []
 
     def test_payload_key_order(self):
