@@ -8,7 +8,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .adjust import delta_adjust, _delta_fraction
+from .adjust import delta_adjust
 from .context import FormalContext, _Record, indices_to_mask
 from .lattice import _lectic_walk, canonical_base
 from .rng import SplitMix64, _stream_seeds, derive_seed
@@ -208,15 +208,15 @@ def run_structure_experiment(
     """Concept and base counts for the original, adjusted, and sampled contexts."""
     if samples < 1:
         raise ValueError("need at least one sampling seed")
-    value = _delta_fraction(delta)
-    # delta_adjust refuses a raw context before the original's base is walked.
-    chosen = delta_adjust(ctx, value).attributes
+    # delta_adjust refuses a bad delta or a raw context before any base walk.
+    selection = delta_adjust(ctx, delta)
+    chosen = selection.attributes
     base = canonical_base(ctx)
     concepts_original, base_original = base.concepts, len(base)
     concepts_adjusted, base_adjusted = _structure_metrics(ctx, chosen)
     sampled_concepts, sampled_bases = _sampled_structure_means(ctx, len(chosen), samples, seed)
     return {
-        "delta": float(value),
+        "delta": selection.delta,
         "concepts_original": concepts_original,
         "concepts_adjusted": concepts_adjusted,
         "base_original": base_original,

@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 @contextmanager
 def _output(args: argparse.Namespace) -> Iterator[Callable[[str], object]]:
     """The ``write`` of the command's output: the ``-o`` file, else stdout."""
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             yield fh.write
     else:

@@ -40,6 +40,8 @@ def indices_to_mask(indices: Iterable[int]) -> int:
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -170,13 +172,12 @@ class FormalContext:
     def intent_mask(self, object_mask: int) -> int:
         """Attributes shared by the objects in ``object_mask`` (all attributes for none).
 
-        The AND of the objects' rows; a bit beyond the objects raises ``IndexError``.
+        The AND of the objects' rows; a bit beyond the objects raises ``IndexError``,
+        and a negative mask ``ValueError``.
         """
         out = self.all_attributes_mask
-        while object_mask:
-            low = object_mask & -object_mask
-            out &= self._rows[low.bit_length() - 1]
-            object_mask ^= low
+        for g in mask_to_indices(object_mask):
+            out &= self._rows[g]
         return out
 
     def _intent_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -203,10 +204,8 @@ class FormalContext:
 
     def extent_mask(self, attribute_mask: int) -> int:
         out = self.all_objects_mask
-        while attribute_mask:
-            low = attribute_mask & -attribute_mask
-            out &= self._cols[low.bit_length() - 1]
-            attribute_mask ^= low
+        for m in mask_to_indices(attribute_mask):
+            out &= self._cols[m]
         return out
 
     def closure_mask(self, attribute_mask: int) -> int:
@@ -371,7 +370,7 @@ def _check_indices(indices: Iterable[int], limit: int, what: str) -> tuple[int, 
     out = tuple(indices)
     for i in out:
         if not 0 <= i < limit:
-            raise IndexError(f"{what} index {i} out of range [0, {limit})")
+            raise IndexError(f"{what} index {i} out of range")
     return out
 
 
@@ -444,16 +443,12 @@ def _reducible_with_witness(
     strictly larger masks.  The witness recorded for ``x`` is the set of all
     *irreducible* indices with a larger mask; maximality makes it unique.
     """
-    n = len(masks)
     reducible = _reducible(masks, full)
     reducible_set = set(reducible)
+    irreducible = [i for i in range(len(masks)) if i not in reducible_set]
     witnesses: dict[int, tuple[int, ...]] = {}
     for x in reducible:
-        ws = tuple(
-            y
-            for y in range(n)
-            if y != x and y not in reducible_set and masks[y] & masks[x] == masks[x]
-        )
+        ws = tuple(y for y in irreducible if masks[y] & masks[x] == masks[x])
         inter = full
         for y in ws:
             inter &= masks[y]
@@ -462,7 +457,6 @@ def _reducible_with_witness(
                 "irreducible witnesses do not reproduce the removed derivation"
             )
         witnesses[x] = ws
-    irreducible = [i for i in range(n) if i not in reducible_set]
     return irreducible, witnesses
 
 

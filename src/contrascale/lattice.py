@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .context import FormalContext, _Record, indices_to_mask, mask_to_indices
+from .context import FormalContext, _Record, _check_indices, indices_to_mask, mask_to_indices
 
 __all__ = [
     "FormalConcept",
@@ -48,6 +48,8 @@ class ConceptSet(_Record):
         items = tuple(sorted(set(self.concepts), key=lambda c: c.intent))
         if len({c.extent for c in items}) != len(items):
             raise ValueError("concepts must have pairwise distinct extents")
+        if any(a.intent == b.intent for a, b in zip(items, items[1:])):
+            raise ValueError("concepts must have pairwise distinct intents")
         object.__setattr__(self, "concepts", items)
 
     def __len__(self) -> int:
@@ -95,8 +97,7 @@ def meet(ctx: FormalContext, c1: FormalConcept, c2: FormalConcept) -> FormalConc
 
 
 def attribute_concept(ctx: FormalContext, m: int) -> FormalConcept:
-    if not 0 <= m < ctx.n_attributes:
-        raise IndexError(f"attribute index {m} out of range")
+    _check_indices((m,), ctx.n_attributes, "attribute")
     return _concept_from_extent_mask(ctx, ctx.col(m))
 
 
@@ -107,9 +108,7 @@ def generated_sub_meet_semilattice(
     # Meeting a meet-closed set that holds the top with one more column
     # keeps it meet-closed, and the top's meet adds the column itself.
     closed = {ctx.extent_mask(0)}
-    for m in attributes:
-        if not 0 <= m < ctx.n_attributes:
-            raise IndexError(f"attribute index {m} out of range")
+    for m in _check_indices(attributes, ctx.n_attributes, "attribute"):
         col = ctx.col(m)
         closed |= {c & col for c in closed}
     return ConceptSet(_concept_from_extent_mask(ctx, mask) for mask in closed)
@@ -128,7 +127,8 @@ def is_boolean_suborder(s: ConceptSet, k: int) -> bool:
         for b in masks[i + 1 :]:
             if a & b not in mask_set:
                 raise ValueError("concept set is not meet-closed")
-    if k < 0 or len(masks) != 1 << k:
+    # 2**k is built only for a k whose 2**k does not exceed the set's size.
+    if not 0 <= k < len(masks).bit_length() or len(masks) != 1 << k:
         return False
     if len(masks) > 256:
         raise ValueError("boolean-suborder test limited to 2**8 elements")
@@ -274,9 +274,7 @@ class _RuleIndex:
 
 def is_valid_implication(ctx: FormalContext, imp: Implication) -> bool:
     """True when every object carrying the premise carries the conclusion."""
-    for m in imp.premise + imp.conclusion:
-        if not 0 <= m < ctx.n_attributes:
-            raise IndexError(f"attribute index {m} out of range")
+    _check_indices(imp.premise + imp.conclusion, ctx.n_attributes, "attribute")
     premise_extent = ctx.extent_mask(imp.premise_mask)
     conclusion_extent = ctx.extent_mask(imp.conclusion_mask)
     return premise_extent & conclusion_extent == premise_extent
@@ -422,29 +420,16 @@ def restrict_base_on_removal(base: Sequence[Implication], m: int) -> list[Implic
     sound and closure-complete for the restricted context but in general not
     minimal.
     """
-    introducers = [
-        imp
-        for imp in base
-        if m in imp.conclusion and m not in imp.premise
-    ]
-    out: list[Implication] = []
-    seen: set[Implication] = set()
-
-    def push(premise: Iterable[int], conclusion: Iterable[int]) -> None:
-        imp = Implication(premise, set(conclusion).difference(premise))
-        if imp.conclusion and imp not in seen:
-            seen.add(imp)
-            out.append(imp)
-
+    introduced = [set(imp.premise) for imp in base if m in imp.conclusion and m not in imp.premise]
+    # A dict keeps the first of equal implications, in the order they are made.
+    out: dict[Implication, None] = {}
     for imp in base:
+        conclusion = set(imp.conclusion) - {m}
         if m in imp.premise:
-            reduced_premise = [a for a in imp.premise if a != m]
-            conclusion = [a for a in imp.conclusion if a != m]
-            for intro in introducers:
-                push(
-                    set(reduced_premise) | set(intro.premise),
-                    conclusion,
-                )
+            premises = [set(imp.premise) - {m} | intro for intro in introduced]
         else:
-            push(imp.premise, (a for a in imp.conclusion if a != m))
-    return out
+            premises = [set(imp.premise)]
+        for premise in premises:
+            if rest := conclusion - premise:
+                out.setdefault(Implication(premise, rest))
+    return list(out)

@@ -14,6 +14,7 @@ from contrascale.context import (
     derive_objects,
     indices_to_mask,
     make_contranominal,
+    mask_to_indices,
     pq_core,
     reduce_context,
 )
@@ -126,6 +127,20 @@ class TestDerivations:
             derive_attributes(ctx, [5])
         with pytest.raises(IndexError):
             derive_objects(ctx, [-1])
+
+    @pytest.mark.parametrize(
+        "derive, what", [(derive_attributes, "object"), (derive_objects, "attribute")]
+    )
+    def test_out_of_range_message(self, derive, what):
+        # The lattice's index checks give the same message.
+        with pytest.raises(IndexError, match=f"^{what} index 9 out of range$"):
+            derive(make_contranominal(3), [0, 9])
+
+    def test_negative_masks_are_refused(self):
+        ctx = make_contranominal(3)
+        for derive in (mask_to_indices, ctx.intent_mask, ctx.extent_mask):
+            with pytest.raises(ValueError, match="^mask -1 is negative$"):
+                derive(-1)
 
     def test_against_brute_force(self, seeded):
         rng = seeded(101)

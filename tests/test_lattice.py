@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -219,6 +220,19 @@ class TestBooleanSuborder:
         assert len(s) == 512
         with pytest.raises(ValueError, match=r"^boolean-suborder test limited to 2\*\*8 elements$"):
             is_boolean_suborder(s, 9)
+
+    def test_a_k_too_large_for_the_set_is_false_before_two_to_the_k_is_built(self):
+        s = enumerate_concepts(make_contranominal(2))
+        assert is_boolean_suborder(s, 2)
+        assert not is_boolean_suborder(s, 3)
+        # 2**(10**8) alone would take 12.5 MB.
+        tracemalloc.start()
+        try:
+            assert not is_boolean_suborder(s, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_meet_closed_input_rejected(self):
         ctx = make_contranominal(2)

@@ -362,6 +362,14 @@ def test_concept_set_stores_concepts_deduplicated_and_sorted_by_intent():
         ConceptSet([low, FormalConcept((0, 1), (1,))])
 
 
+def test_concept_set_refuses_two_concepts_with_one_intent():
+    with pytest.raises(ValueError, match="^concepts must have pairwise distinct intents$"):
+        ConceptSet([FormalConcept((0,), (1,)), FormalConcept((1,), (1,))])
+    # Extents are checked first.
+    with pytest.raises(ValueError, match="^concepts must have pairwise distinct extents$"):
+        ConceptSet([FormalConcept((0,), (1,)), FormalConcept((0,), (2,)), FormalConcept((1,), (1,))])
+
+
 def test_implication_base_stores_its_implications_as_a_tuple():
     imps = [Implication((0,), (1,)), Implication((1,), (2,))]
     base = ImplicationBase(iter(imps), 4)
