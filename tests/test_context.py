@@ -127,14 +127,11 @@ class TestDerivations:
             derive_attributes(ctx, [5])
         with pytest.raises(IndexError):
             derive_objects(ctx, [-1])
-
-    @pytest.mark.parametrize(
-        "derive, what", [(derive_attributes, "object"), (derive_objects, "attribute")]
-    )
-    def test_out_of_range_message(self, derive, what):
-        # The lattice's index checks give the same message.
-        with pytest.raises(IndexError, match=f"^{what} index 9 out of range$"):
-            derive(make_contranominal(3), [0, 9])
+        # The message is the one the lattice's index checks give.
+        with pytest.raises(IndexError, match="^object index 9 out of range$"):
+            derive_attributes(ctx, [0, 9])
+        with pytest.raises(IndexError, match="^attribute index 9 out of range$"):
+            derive_objects(ctx, [0, 9])
 
     def test_negative_masks_are_refused(self):
         ctx = make_contranominal(3)
