@@ -10,6 +10,8 @@ survivors valid.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 from .context import FormalContext, _Record, _reducible, is_clarified, mask_to_indices
@@ -124,8 +126,14 @@ def influence(ctx: FormalContext, *, require_preprocessed: bool = True) -> Influ
 def _delta_fraction(delta: float | str | Fraction) -> Fraction:
     # Floats go through their shortest decimal repr so that e.g. 0.1 * 30
     # selects 3 attributes, not 4; a string and a Fraction read back as themselves.
+    # Fraction builds 10**exponent in full, so the exponent is bounded first.
+    text = str(delta)
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if exponent and abs(int(exponent[1])) > limit > 0:
+        raise ValueError(f"delta {delta!r} has an exponent outside [-{limit}, {limit}]")
     try:
-        value = Fraction(str(delta))
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"delta {delta!r} has a zero denominator") from None
     if not 0 <= value <= 1:

@@ -66,10 +66,7 @@ class ExperimentResult(_Record):
 
 def sample_attributes(ctx: FormalContext, n: int, seed: int) -> tuple[int, ...]:
     """Uniform attribute sample without replacement, deterministic per seed."""
-    if not 0 <= n <= ctx.n_attributes:
-        raise ValueError(f"sample size {n} out of range [0, {ctx.n_attributes}]")
-    rng = SplitMix64(seed)
-    return tuple(sorted(rng.sample_indices(ctx.n_attributes, n)))
+    return tuple(sorted(SplitMix64(seed).sample_indices(ctx.n_attributes, n)))
 
 
 def _split_masks(n: int, split_fraction: float, seed: int) -> tuple[int, int]:
@@ -241,12 +238,15 @@ def benchmark_enumeration(
     """Wall-clock comparison of the enumeration algorithms, counts cross-checked.
 
     A run that exceeds the timeout is reported as unfinished, not failed.
-    Timing values are diagnostics and vary between runs; counts do not.
+    Timing values are diagnostics and vary between runs; counts do not.  A
+    name given twice runs once, and an unknown name is refused before any run.
     """
-    report: dict = {}
+    algorithms = tuple(dict.fromkeys(algorithms))
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+    report: dict = {}
+    for algorithm in algorithms:
         start = perf_counter()
 
         def check_budget() -> None:

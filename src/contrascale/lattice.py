@@ -119,7 +119,7 @@ def is_boolean_suborder(s: ConceptSet, k: int) -> bool:
 
     Every element is fingerprinted by the atoms below it; the suborder is
     Boolean of dimension k exactly when that fingerprint is an order
-    isomorphism onto all 2**k atom subsets.  Sizes above 2**8 are refused.
+    isomorphism onto all 2**k atom subsets.
     """
     masks = sorted(c.extent_mask for c in s)
     mask_set = set(masks)
@@ -130,8 +130,6 @@ def is_boolean_suborder(s: ConceptSet, k: int) -> bool:
     # 2**k is built only for a k whose 2**k does not exceed the set's size.
     if not 0 <= k < len(masks).bit_length() or len(masks) != 1 << k:
         return False
-    if len(masks) > 256:
-        raise ValueError("boolean-suborder test limited to 2**8 elements")
     # Meet-closed, so the meet of all masks is in the set: it is the least one.
     strictly_above = masks[1:]
     atoms = [

@@ -44,15 +44,6 @@ __all__ = [
 ALGORITHMS = ("backtracking", "bronkerbosch")
 
 
-def _scale_shaped(pairs: tuple[tuple[int, int], ...]) -> bool:
-    """Whether ``pairs`` is nonempty, with distinct objects and strictly ascending attributes."""
-    return (
-        bool(pairs)
-        and len({g for g, _ in pairs}) == len(pairs)
-        and all(p[1] < q[1] for p, q in zip(pairs, pairs[1:]))
-    )
-
-
 class ContranominalScale(_Record):
     """Witness of one scale: (object, attribute) pairs sorted by attribute.
 
@@ -69,29 +60,21 @@ class ContranominalScale(_Record):
 
     @property
     def object_indices(self) -> tuple[int, ...]:
-        return tuple(g for g, _ in self.pairs)
+        return tuple([g for g, _ in self.pairs])
 
     @property
     def attribute_indices(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.pairs)
+        return tuple([m for _, m in self.pairs])
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.attribute_indices, self.object_indices)
 
     def is_valid_in(self, ctx: FormalContext) -> bool:
-        pairs = self.pairs
-        if not _scale_shaped(pairs):
+        """``ScaleFamily.is_valid_in`` on one-object classes, the objects' range checked first."""
+        objs = self.object_indices
+        if not all(0 <= g < ctx.n_objects for g in objs):
             return False
-        objs = [g for g, _ in pairs]
-        if min(objs) < 0 or max(objs) >= ctx.n_objects:
-            return False
-        if pairs[0][1] < 0 or pairs[-1][1] >= ctx.n_attributes:
-            return False
-        for i, (g, _) in enumerate(pairs):
-            for j, (_, m) in enumerate(pairs):
-                if ctx.incident(g, m) != (i != j):
-                    return False
-        return True
+        return ScaleFamily(self.attribute_indices, tuple([1 << g for g in objs])).is_valid_in(ctx)
 
 
 class ScaleFamily(_Record):
@@ -132,9 +115,9 @@ class ScaleFamily(_Record):
         one class per attribute, and the classes must be nonempty, pairwise
         disjoint and within the objects.  Each object of class i must then
         be incident with every attribute of the family except
-        ``attributes[i]``.  That condition belongs to each object alone, so
-        it holds exactly when every scale of the family passes
-        ``ContranominalScale.is_valid_in``.
+        ``attributes[i]``.  With one object per class, that is the definition
+        of a scale, and ``ContranominalScale.is_valid_in`` is this check; the
+        condition belongs to each object alone, so it holds for every choice.
 
         It is tested once per attribute, not once per object: with U the
         union of the classes, it holds exactly when ``U & ~col(attributes[j])
@@ -531,8 +514,12 @@ def scales_from_clarified(
     att_classes = cmap.attribute_classes
     for scale in scales:
         pairs = scale.pairs
-        if not _scale_shaped(pairs) or not all(
-            0 <= g < len(obj_classes) and 0 <= m < len(att_classes) for g, m in pairs
+        objs, atts = scale.object_indices, scale.attribute_indices
+        if not (
+            pairs
+            and len(set(objs)) == len(pairs)
+            and all(a < b for a, b in zip(atts, atts[1:]))
+            and all(0 <= g < len(obj_classes) and 0 <= m < len(att_classes) for g, m in pairs)
         ):
             raise ValueError("scale does not match the clarification map")
         options = [[(go, mo) for mo in att_classes[m] for go in obj_classes[g]] for g, m in pairs]

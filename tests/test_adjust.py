@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -222,6 +223,16 @@ class TestDeltaAdjust:
             delta_adjust(ctx, 1.5)
         with pytest.raises(ValueError):
             delta_adjust(ctx, -0.1)
+        # Refused before Fraction builds 10**4000000 (1.7 MB) in full.
+        for delta in ("1e4000000", "1e-4000000"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^delta '{delta}' has an exponent outside"):
+                    delta_adjust(ctx, delta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_selection_size_is_ceiling(self):
         ctx = medical_diagnosis()

@@ -763,9 +763,26 @@ class TestBenchmark:
         adj = adjacency(set)
         assert list(scales._maximal_cliques(adj)) == list(intersecting(adj))
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            benchmark_enumeration(make_contranominal(2), ("magic",))
+    def test_unknown_algorithm_rejected(self, monkeypatch):
+        def no_walk(ctx):
+            raise AssertionError("a walk started before every name was checked")
+
+        monkeypatch.setattr(bench, "_family_sizes", no_walk)
+        for names in (("magic",), ("backtracking", "magic")):
+            with pytest.raises(ValueError, match="^unknown algorithm 'magic'$"):
+                benchmark_enumeration(make_contranominal(2), names)
+
+    def test_a_name_given_twice_runs_once(self, monkeypatch):
+        walks = []
+
+        def counted(ctx):
+            walks.append(ctx)
+            return scales._family_sizes(ctx)
+
+        monkeypatch.setattr(bench, "_family_sizes", counted)
+        report = benchmark_enumeration(make_contranominal(2), ("backtracking", "backtracking"))
+        assert len(walks) == 1
+        assert report["backtracking"]["count"] == 3
 
 
 class TestSerialization:

@@ -215,11 +215,11 @@ class TestBooleanSuborder:
         assert len(s) == 4
         assert not is_boolean_suborder(s, 2)
 
-    def test_more_than_two_to_the_eight_elements_refused(self):
+    def test_more_than_two_to_the_eight_elements_answered(self):
         s = enumerate_concepts(make_contranominal(9))
         assert len(s) == 512
-        with pytest.raises(ValueError, match=r"^boolean-suborder test limited to 2\*\*8 elements$"):
-            is_boolean_suborder(s, 9)
+        assert is_boolean_suborder(s, 9)
+        assert not is_boolean_suborder(s, 8)
 
     def test_a_k_too_large_for_the_set_is_false_before_two_to_the_k_is_built(self):
         s = enumerate_concepts(make_contranominal(2))

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -217,10 +218,18 @@ class TestScaleCheck:
             pytest.param(((0, -1),), id="attribute-negative"),
             pytest.param(((5, 0),), id="object-too-large"),
             pytest.param(((-3, 0), (1, 1)), id="object-negative"),
+            pytest.param(((10**8, 0),), id="object-huge"),
         ],
     )
     def test_index_outside_the_context_fails(self, pairs):
-        assert not ContranominalScale(pairs).is_valid_in(self.CTX)
+        # The range is checked before any shift: 1 << 10**8 alone takes 12.5 MB.
+        tracemalloc.start()
+        try:
+            assert not ContranominalScale(pairs).is_valid_in(self.CTX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_empty_scale_fails(self):
         assert not ContranominalScale(()).is_valid_in(self.CTX)
