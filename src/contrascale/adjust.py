@@ -124,18 +124,23 @@ def influence(ctx: FormalContext, *, require_preprocessed: bool = True) -> Influ
 
 
 def _delta_fraction(delta: float | str | Fraction) -> Fraction:
-    # Floats go through their shortest decimal repr so that e.g. 0.1 * 30
-    # selects 3 attributes, not 4; a string and a Fraction read back as themselves.
-    # Fraction builds 10**exponent in full, so the exponent is bounded first.
-    text = str(delta)
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    if exponent and abs(int(exponent[1])) > limit > 0:
-        raise ValueError(f"delta {delta!r} has an exponent outside [-{limit}, {limit}]")
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"delta {delta!r} has a zero denominator") from None
+    # A Fraction is taken as it is: printing a parsed one again could need
+    # more digits than int-to-str conversion allows.  Floats go through
+    # their shortest decimal repr so that e.g. 0.1 * 30 selects 3
+    # attributes, not 4, and a string reads back as itself.  Fraction
+    # builds 10**exponent in full, so the exponent is bounded first.
+    if isinstance(delta, Fraction):
+        value = delta
+    else:
+        text = str(delta)
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        if exponent and abs(int(exponent[1])) > limit > 0:
+            raise ValueError(f"delta {delta!r} has an exponent outside [-{limit}, {limit}]")
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"delta {delta!r} has a zero denominator") from None
     if not 0 <= value <= 1:
         raise ValueError("delta must lie in [0, 1]")
     return value

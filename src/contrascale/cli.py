@@ -16,6 +16,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
@@ -306,6 +308,11 @@ class _PairText(dict):
         return text
 
 
+# Scales joined into one write: far fewer calls than one per scale, while a
+# chunk's size stays bounded by the scales it holds, not the whole stream.
+_SCALES_PER_WRITE = 256
+
+
 def _write_scales(
     scales: Iterable[ContranominalScale],
     ctx: FormalContext,
@@ -316,9 +323,10 @@ def _write_scales(
 
     The JSON equals ``_json([{"dim": k, "pairs": [[object, attribute],
     ...]}, ...])`` followed by a newline; each label is encoded once.  Each
-    scale is one chunk, which opens with the text that ends the scale
-    before it, and one closing chunk follows: ``"[]\n"`` or ``"\n"`` alone
-    when there is no scale.
+    scale's text opens with the text that ends the scale before it, and
+    the texts of up to ``_SCALES_PER_WRITE`` scales are joined into one
+    chunk, so a chunk holds whole scales.  One closing chunk follows:
+    ``"[]\n"`` or ``"\n"`` alone when there is no scale.
     """
     if pretty:
         objects = [f"({g}," for g in ctx.objects]
@@ -336,12 +344,19 @@ def _write_scales(
     # A pair (g, m) is object g's text followed by attribute m's.
     pair_text = _PairText(objects, attributes).__getitem__
     headers = [header % k for k in range(ctx.n_attributes + 1)]
-    opening = first
-    for scale in scales:
-        pairs = scale.pairs
-        write(f"{opening}{headers[len(pairs)]}{separator.join(map(pair_text, pairs))}")
-        opening = between
-    write(empty if opening == first else closing)
+    texts = (
+        f"{between}{headers[len(pairs)]}{separator.join(map(pair_text, pairs))}"
+        for pairs in map(attrgetter("pairs"), scales)
+    )
+    chunk = "".join(islice(texts, _SCALES_PER_WRITE))
+    if not chunk:
+        write(empty)
+        return
+    # The first scale opens the output, not the end of a scale before it.
+    write(first + chunk[len(between):])
+    while chunk := "".join(islice(texts, _SCALES_PER_WRITE)):
+        write(chunk)
+    write(closing)
 
 
 def _influence_rows(report: InfluenceReport) -> list[list[str]]:

@@ -111,40 +111,60 @@ class ScaleFamily(_Record):
     def is_valid_in(self, ctx: FormalContext) -> bool:
         """Whether every choice of one object per class is a scale of ``ctx``.
 
-        The attributes must lie in range and ascend strictly, there must be
-        one class per attribute, and the classes must be nonempty, pairwise
-        disjoint and within the objects.  Each object of class i must then
-        be incident with every attribute of the family except
-        ``attributes[i]``.  With one object per class, that is the definition
-        of a scale, and ``ContranominalScale.is_valid_in`` is this check; the
-        condition belongs to each object alone, so it holds for every choice.
-
-        It is tested once per attribute, not once per object: with U the
-        union of the classes, it holds exactly when ``U & ~col(attributes[j])
-        == witness_masks[j]`` for every j.  The objects of U that miss
-        attribute j are then those of class j and no others, which is the
-        per-object condition read column by column, since each object of U
-        lies in exactly one class.
+        This is ``_family_is_valid`` on ``ctx``'s attribute count, objects and
+        columns, the one statement of what a valid family is.
         """
-        attrs, wits = self.attributes, self.witness_masks
-        if not attrs or len(wits) != len(attrs):
+        return _family_is_valid(
+            self.attributes, self.witness_masks, ctx.n_attributes, ctx.all_objects_mask, ctx.cols()
+        )
+
+
+def _family_is_valid(
+    attrs: Sequence[int],
+    wits: Sequence[int],
+    n_attributes: int,
+    all_objects: int,
+    cols: Sequence[int],
+) -> bool:
+    """Whether every choice of one object per class ``wits[i]`` is a scale.
+
+    The context is given as its attribute count, its all-objects mask and
+    its columns, so that a stream reads them once.  The attributes must lie
+    in range and ascend strictly, there must be one class per attribute,
+    and the classes must be nonempty, pairwise disjoint and within the
+    objects.  Each object of class i must then be incident with every
+    attribute of the family except ``attrs[i]``.  With one object per class,
+    that is the definition of a scale, and ``ContranominalScale.is_valid_in``
+    is this check; the condition belongs to each object alone, so it holds
+    for every choice.
+
+    It is tested once per attribute, not once per object: with U the union
+    of the classes, it holds exactly when ``U & ~cols[attrs[j]] == wits[j]``
+    for every j.  The objects of U that miss attribute j are then those of
+    class j and no others, which is the per-object condition read column by
+    column, since each object of U lies in exactly one class.
+    """
+    if not attrs or len(wits) != len(attrs):
+        return False
+    # A plain loop beats any() over a generator on the stream's hot path.
+    last = -1
+    for m in attrs:
+        if m <= last:
             return False
-        if attrs[0] < 0 or attrs[-1] >= ctx.n_attributes:
+        last = m
+    if last >= n_attributes:
+        return False
+    union = 0
+    for w in wits:
+        if w <= 0 or w & union:
             return False
-        if any(a >= b for a, b in zip(attrs, attrs[1:])):
+        union |= w
+    if union & ~all_objects:
+        return False
+    for m, w in zip(attrs, wits):
+        if union & ~cols[m] != w:
             return False
-        union = 0
-        for w in wits:
-            if w <= 0 or w & union:
-                return False
-            union |= w
-        if union & ~ctx.all_objects_mask:
-            return False
-        cols = ctx.cols()
-        for m, w in zip(attrs, wits):
-            if union & ~cols[m] != w:
-                return False
-        return True
+    return True
 
 
 class ScaleCount(_Record):
@@ -355,15 +375,35 @@ def _checked_scales(
 ) -> Iterator[Iterator[ContranominalScale]]:
     """The scales of each family ``enumerate_scales`` streams, one iterator per family.
 
-    Each family is checked before its scales are built, so its assert
-    precedes its first scale.
+    The walk's raw sets are read here, not through ``iter_scale_families``:
+    one pass over a set's lanes takes out each witness mask and turns it
+    into its class's ``(object, attribute)`` pairs, so that each product
+    tuple is already a scale's pairs.  ``_family_is_valid`` then checks the
+    family on ``ctx``'s attribute count, objects and columns, read once per
+    stream, and its assert precedes the family's first scale; no
+    ``ScaleFamily`` record is built.
     """
+    core = _min_dimension_core(ctx, min_dimension)
     least = min_dimension or 0
-    for family in iter_scale_families(_min_dimension_core(ctx, min_dimension)):
-        if family.dimension < least:
+    n_attributes, all_objects, cols = ctx.n_attributes, ctx.all_objects_mask, ctx.cols()
+    width = core.n_objects + 1
+    for attrs, lanes, _, _ in _walk(core):
+        if len(attrs) < least:
             continue
-        assert family.is_valid_in(ctx)
-        yield family.iter_scales()
+        wits = []
+        classes = []
+        for m in attrs:
+            w = lanes & all_objects
+            lanes >>= width
+            wits.append(w)
+            pairs = []
+            while w:
+                low = w & -w
+                pairs.append((low.bit_length() - 1, m))
+                w ^= low
+            classes.append(pairs)
+        assert _family_is_valid(attrs, wits, n_attributes, all_objects, cols)
+        yield map(ContranominalScale, product(*classes))
 
 
 def enumerate_scales(
@@ -373,12 +413,13 @@ def enumerate_scales(
 
     Returns a lazy iterator: nothing is walked before the first ``next()``,
     and each scale is built as its family is walked.  Every family is
-    checked once with ``ScaleFamily.is_valid_in``, which covers each of its
-    scales, before its first scale; the scales then pass from the family's
-    product to the caller through ``itertools.chain`` without a Python
-    frame.  ``min_dimension=k`` walks the (k-1, k-1)-core, which keeps every
-    scale of dimension >= k, and skips smaller families; it is opt-in
-    because cores silently drop small scales.  Bron-Kerbosch
+    checked once with the family check behind ``ScaleFamily.is_valid_in``,
+    which covers each of its scales, before its first scale; the scales
+    then pass from the family's product to the caller through
+    ``itertools.chain`` without a Python frame.  ``min_dimension=k`` walks
+    the (k-1, k-1)-core, which keeps every scale of dimension >= k, and
+    skips smaller families; it is opt-in because cores silently drop small
+    scales.  Bron-Kerbosch
     (``enumerate_bronkerbosch``) is the independent cross-check of this
     stream.  Scales of a clarified or reduced context map back to the
     original through ``scales_from_clarified`` and ``scales_from_reduced``.

@@ -281,6 +281,23 @@ class TestDecisionTree:
                         )
         assert kinds["pure"] > 1000 and kinds["impure"] > 1000, kinds
 
+    def test_deep_chain_trains_and_scores(self):
+        # Feature i holds the objects above i and the labels alternate, so
+        # each split peels off one object: the tree is 1,099 levels deep,
+        # deeper than the interpreter's default recursion limit of 1,000.
+        n = 1100
+        full = (1 << n) - 1
+        cols = [full & ~((1 << (i + 1)) - 1) for i in range(n - 1)]
+        labels = sum(1 << g for g in range(1, n, 2))
+        tree = train_tree(cols, labels, full, range(n - 1))
+        node = tree._root
+        for i in range(n - 1):
+            feature, left, node = node
+            assert (feature, left) == (i, bool(i & 1))
+        assert node is bool((n - 1) & 1)
+        assert tree.accuracy(cols, labels, full) == 1.0
+        assert tree.accuracy(cols, full ^ labels, full) == 0.0
+
     def test_tree_handles_unseen_combinations(self):
         ctx = _context([(0, 0, 0), (1, 1, 1), (0, 1, 0)])
         cols = ctx.cols()

@@ -298,9 +298,14 @@ def _awkward_context(rng):
 
 def _reference_json(ctx, **kwargs):
     """The ``scales`` output as one ``json.dumps`` of the whole list."""
+    return _reference_json_of(ctx, enumerate_scales(ctx, **kwargs))
+
+
+def _reference_json_of(ctx, scales):
+    """The JSON ``scales`` writes for ``scales``, as one ``json.dumps``."""
     payload = [
         {"dim": s.dimension, "pairs": [[ctx.objects[g], ctx.attributes[m]] for g, m in s.pairs]}
-        for s in enumerate_scales(ctx, **kwargs)
+        for s in scales
     ]
     return json.dumps(payload, indent=2) + "\n"
 
@@ -332,16 +337,29 @@ class TestScaleStream:
 
     @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
     def test_writer_chunks(self, seeded, pretty):
+        # Each chunk but the last holds 1 to 256 whole scales: the chunks up
+        # to it, closed, are the whole output for the scales they hold.  The
+        # closing chunk comes last.
         rng = seeded(403)
-        for _ in range(10):
-            ctx = _awkward_context(rng)
+        header, closing = ("dim=", "\n") if pretty else ('"dim": ', "\n    ]\n  }\n]\n")
+        reference = _reference_lines if pretty else _reference_json_of
+        # make_contranominal(10) has 1,023 scales, more than one chunk holds.
+        contexts = [_awkward_context(rng) for _ in range(10)] + [make_contranominal(10)]
+        batched = 0
+        for ctx in contexts:
             stream = list(enumerate_scales(ctx))
+            assert stream
             chunks = _written(ctx, stream, pretty)
-            # One chunk per scale, each holding its header, then the closing one.
-            assert len(chunks) == len(stream) + 1
-            header = "dim=%d; " if pretty else '"dim": %d,'
-            for scale, chunk in zip(stream, chunks):
-                assert chunk.count("dim") == 1 and header % scale.dimension in chunk
+            assert chunks[-1] == closing
+            text, held = "", 0
+            for chunk in chunks[:-1]:
+                assert 1 <= chunk.count(header) <= 256
+                text += chunk
+                held += chunk.count(header)
+                assert text + closing == reference(ctx, stream[:held])
+            assert held == len(stream)
+            batched += len(chunks) > 2
+        assert batched
         empty = FormalContext.from_masks(["g"], ["a"], [1])
         assert _written(empty, enumerate_scales(empty), pretty) == ["\n" if pretty else "[]\n"]
 
@@ -477,6 +495,16 @@ class TestInfluenceAndAdjust:
     def test_influence_pretty_table(self, capsys, diagnosis_cxt):
         code, out, _ = run(capsys, "influence", "--pretty", "--delta", "0.5", diagnosis_cxt)
         assert "selected" in out.splitlines()[0]
+
+    def test_tiny_delta_is_parsed_once(self, capsys, diagnosis_cxt):
+        # 1e-4300 is within the exponent bound, but printing the parsed
+        # Fraction again would need a 4,301-digit denominator.
+        code, out, err = run(capsys, "adjust", "--delta", "1e-4300", diagnosis_cxt)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["chosen"]) == 1
+        code, out, err = run(capsys, "influence", "--pretty", "--delta", "1e-4300", diagnosis_cxt)
+        assert (code, err) == (0, "")
+        assert sum(line.endswith("*") for line in out.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "labels", [("x,y", "z"), ('"b', 'c"'), ("p q", "r\n")], ids=["comma", "quote", "newline"]

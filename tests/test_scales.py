@@ -268,6 +268,33 @@ def _every_scale_valid(family, ctx):
     return all(s.is_valid_in(ctx) for s in family.iter_scales())
 
 
+def _walked(ctx, families):
+    """A stand-in for ``scales._walk(ctx)`` that yields ``families`` as raw sets.
+
+    Each family's classes are packed into lanes as the walk packs them; the
+    stream reads neither the extent nor the leaf flag.
+    """
+    width = ctx.n_objects + 1
+    for f in families:
+        lanes = sum(w << i * width for i, w in enumerate(f.witness_masks))
+        yield f.attributes, lanes, 0, True
+
+
+def _checked_families(monkeypatch, ctx, min_dimension=None):
+    """The families ``enumerate_scales`` checks, in order, and the scales it streams."""
+    checked = []
+    check = scales._family_is_valid
+
+    def recorded(attrs, wits, *context):
+        checked.append(ScaleFamily(attrs, tuple(wits)))
+        return check(attrs, wits, *context)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scales, "_family_is_valid", recorded)
+        streamed = list(enumerate_scales(ctx, min_dimension=min_dimension))
+    return checked, streamed
+
+
 class TestFamilyCheck:
     # g0 and g1 miss m0, g2 misses m1, g3 misses m2: one family, two scales.
     CTX = context_from_rows(["011", "011", "101", "110"])
@@ -333,7 +360,7 @@ class TestFamilyCheck:
 
     def test_stream_asserts_the_family_check(self, monkeypatch):
         corrupted = ScaleFamily((0, 1, 2), (0b0011, 0b0110, 0b1000))
-        monkeypatch.setattr(scales, "iter_scale_families", lambda ctx: iter([corrupted]))
+        monkeypatch.setattr(scales, "_walk", lambda ctx: _walked(ctx, [corrupted]))
         with pytest.raises(AssertionError):
             list(enumerate_scales(self.CTX))
 
@@ -459,7 +486,7 @@ class TestChainedStream:
 
     def test_nothing_runs_before_the_first_next(self, monkeypatch):
         calls = []
-        core, walk = scales._min_dimension_core, scales.iter_scale_families
+        core, walk = scales._min_dimension_core, scales._walk
 
         def recorded_core(ctx, min_dimension):
             calls.append("core")
@@ -471,7 +498,7 @@ class TestChainedStream:
 
         expected = [s for s in enumerate_scales(self.CTX) if s.dimension >= 2]
         monkeypatch.setattr(scales, "_min_dimension_core", recorded_core)
-        monkeypatch.setattr(scales, "iter_scale_families", recorded_walk)
+        monkeypatch.setattr(scales, "_walk", recorded_walk)
         stream = enumerate_scales(self.CTX, min_dimension=2)
         assert calls == []
         first = next(stream)
@@ -480,12 +507,23 @@ class TestChainedStream:
 
     def test_assert_precedes_the_first_scale_of_a_corrupted_family(self, monkeypatch):
         corrupted = ScaleFamily((0, 1, 2), (0b0011, 0b0110, 0b1000))
-        monkeypatch.setattr(scales, "iter_scale_families", lambda ctx: iter([self.VALID, corrupted]))
+        valid_scales = list(self.VALID.iter_scales())
+        built = []
+
+        def recorded(pairs):
+            built.append(pairs)
+            return ContranominalScale(pairs)
+
+        monkeypatch.setattr(scales, "_walk", lambda ctx: _walked(ctx, [self.VALID, corrupted]))
+        monkeypatch.setattr(scales, "ContranominalScale", recorded)
         streamed = []
         with pytest.raises(AssertionError):
             for scale in enumerate_scales(self.CTX):
                 streamed.append(scale)
-        assert streamed == list(self.VALID.iter_scales())
+        # The corrupted family's check fails before any of its scales is
+        # built, let alone streamed.
+        assert streamed == valid_scales
+        assert built == [s.pairs for s in valid_scales]
 
     def test_min_dimension_skips_smaller_families(self):
         ctx = make_contranominal(4)
@@ -498,26 +536,32 @@ class TestChainedStream:
         assert streamed == [s for s in enumerate_scales(ctx) if s.dimension >= 3]
 
 
+class TestStreamAgainstFamilies:
+    """The stream reads the walk's lanes itself; ``iter_scale_families`` is the other reading."""
+
+    @pytest.mark.parametrize("min_dimension", [None, 2, 3])
+    def test_stream_expands_the_families_in_order(self, seeded, min_dimension):
+        rng = seeded(321)
+        contexts = [random_context(rng, 12, 10) for _ in range(30)]
+        least = min_dimension or 0
+        nonempty = 0
+        for ctx in contexts + [make_contranominal(6), medical_diagnosis()]:
+            core = scales._min_dimension_core(ctx, min_dimension)
+            expected = [
+                s
+                for f in iter_scale_families(core)
+                if f.dimension >= least
+                for s in f.iter_scales()
+            ]
+            assert list(enumerate_scales(ctx, min_dimension=min_dimension)) == expected
+            nonempty += bool(expected)
+        assert nonempty > len(contexts) // 4, nonempty
+
+
 def _zipped_scales(family):
     """The scales of ``family``, one ``zip`` of each choice of objects with the attributes."""
     for choice in product(*family.witness_indices()):
         yield ContranominalScale(tuple(zip(choice, family.attributes)))
-
-
-def _mapped_families(monkeypatch, ctx, min_dimension):
-    """The families ``enumerate_scales`` walks on the core and streams."""
-    checked = []
-    is_valid_in = ScaleFamily.is_valid_in
-
-    def recorded(family, context):
-        checked.append(family)
-        return is_valid_in(family, context)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ScaleFamily, "is_valid_in", recorded)
-        for _ in enumerate_scales(ctx, min_dimension=min_dimension):
-            pass
-    return checked
 
 
 class TestFamilyScales:
@@ -540,7 +584,8 @@ class TestFamilyScales:
         contexts = [medical_diagnosis()] + [random_context(rng, 12, 10) for _ in range(20)]
         gaps = 0
         for ctx in contexts:
-            families = _mapped_families(monkeypatch, ctx, 3)
+            families, streamed = _checked_families(monkeypatch, ctx, 3)
+            assert [s for f in families for s in f.iter_scales()] == streamed
             self._assert_zipped(families)
             # Some core must drop an object below a kept one, where a copied
             # subcontext would renumber the objects.
@@ -575,15 +620,7 @@ class TestCorePruning:
                 }
 
     def test_core_stream_checks_each_family_once(self, monkeypatch):
-        checks = []
-        is_valid_in = ScaleFamily.is_valid_in
-
-        def counted(family, ctx):
-            checks.append(family)
-            return is_valid_in(family, ctx)
-
-        monkeypatch.setattr(ScaleFamily, "is_valid_in", counted)
-        streamed = list(enumerate_scales(medical_diagnosis(), min_dimension=2))
+        checks, streamed = _checked_families(monkeypatch, medical_diagnosis(), 2)
         # One check per yielded family, made on the re-indexed family whose
         # scales are exactly the ones streamed.
         assert streamed
