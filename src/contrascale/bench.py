@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 from .adjust import delta_adjust
 from .context import FormalContext, _Record, indices_to_mask
 from .lattice import _lectic_walk, canonical_base
-from .rng import SplitMix64, _stream_seeds, derive_seed
+from .rng import SplitMix64, _partial_sample, _randranges, _stream_seeds, derive_seed
 from .scales import ALGORITHMS, _bronkerbosch_scales, _family_sizes
 from .tree import train_tree
 
@@ -34,6 +34,11 @@ _STREAM_LABEL = 0
 _STREAM_SPLIT = 1
 _STREAM_FEATURES = 2
 _STREAM_STRUCTURE = 3
+
+# Repetitions whose draws share one pass of the lane kernel: the lanes of a
+# pass stay this many repetitions wide whatever ``repetitions`` is.  Blocks of
+# 256 measured no faster on the diagnosis context, and held more memory.
+_BLOCK = 64
 
 
 class ExperimentConfig(_Record, delta=0.5, repetitions=1000, split_fraction=0.5, method="adjusted"):
@@ -69,28 +74,39 @@ def sample_attributes(ctx: FormalContext, n: int, seed: int) -> tuple[int, ...]:
     return tuple(sorted(SplitMix64(seed).sample_indices(ctx.n_attributes, n)))
 
 
-def _split_masks(n: int, split_fraction: float, seed: int) -> tuple[int, int]:
-    """The train and test object masks of one seeded shuffle of ``n`` objects.
-
-    The train set is the first ``cut`` places of ``SplitMix64(seed).shuffle``
-    of ``range(n)``, the test set the rest.  Fisher-Yates fills the places from
-    the back, one draw each, and a filled place never changes again, so the
-    ``n - cut`` draws that fill places ``n-1 … cut`` fix the test set; the
-    remaining draws would only reorder the train set, and are not made.
-    """
+def _split_bounds(n: int, split_fraction: float) -> tuple[int, ...]:
+    """The draw bounds ``n, n-1, …, cut+1`` of a split of ``n`` objects at ``floor(n * f)``."""
     if n < 2:
         raise ValueError("need at least 2 objects to split")
     cut = math.floor(n * split_fraction)
     if not 0 < cut < n:
         raise ValueError("split leaves an empty train or test set")
-    rng = SplitMix64(seed)
+    return tuple(range(n, cut, -1))
+
+
+def _split(n: int, draws: Sequence[int]) -> tuple[int, int]:
+    """The train and test object masks of a shuffle of ``range(n)`` whose
+    first draws are ``draws``, cut after ``n - len(draws)`` places.
+
+    Fisher-Yates fills the places from the back: draw ``k``, below ``n - k``,
+    picks the item for place ``n-1-k``, and a filled place never changes
+    again.  So the draws that fill places ``n-1 … cut`` fix the test set, and
+    the draws that would only reorder the train set are not needed.
+    """
     order = list(range(n))
     test = 0
-    for i in range(n - 1, cut - 1, -1):
-        j = rng.randrange(i + 1)
+    for i, j in zip(range(n - 1, -1, -1), draws):
         test |= 1 << order[j]
         order[j] = order[i]
     return ((1 << n) - 1) ^ test, test
+
+
+def _split_masks(n: int, split_fraction: float, seed: int) -> tuple[int, int]:
+    """The train and test object masks of one seeded shuffle of ``n`` objects:
+    the first ``floor(n * f)`` places of ``SplitMix64(seed).shuffle`` of
+    ``range(n)`` train, the rest test."""
+    rng = SplitMix64(seed)
+    return _split(n, [rng.randrange(b) for b in _split_bounds(n, split_fraction)])
 
 
 def decision_tree_accuracy(
@@ -157,30 +173,44 @@ def run_knowledge_experiment(
         raise ValueError("need at least 2 attributes")
     selection = delta_adjust(ctx, cfg.delta).attributes
     cols = ctx.cols()
-    everything = tuple(range(ctx.n_attributes))
-    adjusted_features = [tuple(m for m in selection if m != label) for label in everything]
+    n_att = ctx.n_attributes
+    adjusted_features = [tuple(m for m in selection if m != label) for label in range(n_att)]
+    # The sampled arm draws as many features from the other n_att - 1 attributes.
+    sample_bounds = [tuple(range(n_att - 1, n_att - 1 - len(f), -1)) for f in adjusted_features]
+    split_bounds = None
     records: list[list[RepetitionRecord]] = [[] for _ in methods]
-    seeds = _stream_seeds(
-        cfg.seed, cfg.repetitions, _STREAM_LABEL, _STREAM_SPLIT, _STREAM_FEATURES
-    )
-    for rep, (label_seed, split_seed, features_seed) in enumerate(seeds):
-        label = SplitMix64(label_seed).randrange(ctx.n_attributes)
-        adjusted = adjusted_features[label]
-        # The sampled arm draws as many features, so both arms fail here alike,
-        # and before the split is drawn.
-        if not adjusted:
-            raise ValueError("the feature set is empty; use a larger delta")
-        train, test = _split_masks(ctx.n_objects, cfg.split_fraction, split_seed)
-        labels = cols[label]
-        for method, arm in zip(methods, records):
+    for start in range(0, cfg.repetitions, _BLOCK):
+        reps = range(start, min(start + _BLOCK, cfg.repetitions))
+        label_seeds, split_seeds, features_seeds = _stream_seeds(
+            cfg.seed, reps, _STREAM_LABEL, _STREAM_SPLIT, _STREAM_FEATURES
+        )
+        labels = [label for (label,) in _randranges(label_seeds, [(n_att,)] * len(reps))]
+        for label in labels:
+            # Both arms fail here alike, and each repetition before its split,
+            # as when the repetitions are drawn one at a time.
+            if not adjusted_features[label]:
+                raise ValueError("the feature set is empty; use a larger delta")
+            if split_bounds is None:
+                split_bounds = _split_bounds(ctx.n_objects, cfg.split_fraction)
+        splits = _randranges(split_seeds, [split_bounds] * len(reps))
+        features = []
+        for method in methods:
             if method == "adjusted":
-                features = adjusted
-            else:
-                others = everything[:label] + everything[label + 1:]
-                picks = SplitMix64(features_seed).sample_indices(len(others), len(adjusted))
-                features = tuple(sorted(map(others.__getitem__, picks)))
-            tree = train_tree(cols, labels, train, features)
-            arm.append(RepetitionRecord(rep, label, features, tree.accuracy(cols, labels, test)))
+                features.append([adjusted_features[label] for label in labels])
+                continue
+            picks = _randranges(features_seeds, [sample_bounds[label] for label in labels])
+            # Place p among the attributes but the label holds attribute p, or p + 1 past it.
+            features.append([
+                tuple(sorted(p + (p >= label) for p in _partial_sample(n_att - 1, draws)))
+                for label, draws in zip(labels, picks)
+            ])
+        for rep, label, draws, *chosen in zip(reps, labels, splits, *features):
+            train, test = _split(ctx.n_objects, draws)
+            column = cols[label]
+            for arm_features, arm in zip(chosen, records):
+                tree = train_tree(cols, column, train, arm_features)
+                accuracy = tree.accuracy(cols, column, test)
+                arm.append(RepetitionRecord(rep, label, arm_features, accuracy))
     results = []
     for method, arm in zip(methods, records):
         accs = [r.accuracy for r in arm]

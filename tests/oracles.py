@@ -3,14 +3,22 @@
 None is used by the package itself: ``enumerate_bruteforce`` is the third
 scale oracle beside the backtracking stream and Bron-Kerbosch,
 ``family_is_valid_rowwise`` checks a ``ScaleFamily`` one object row at a time,
-and ``close_under`` closes an attribute set under a list of implications.
+``close_under`` closes an attribute set under a list of implications, and
+``knowledge_one_at_a_time`` runs the knowledge experiment one repetition and
+one scalar draw at a time.
 """
 
+import math
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from contrascale import bench
+from contrascale.adjust import delta_adjust
+from contrascale.bench import ExperimentConfig, RepetitionRecord
 from contrascale.context import FormalContext, indices_to_mask, mask_to_indices
 from contrascale.lattice import Implication, _RuleIndex
+from contrascale.rng import SplitMix64, derive_seed
+from contrascale.tree import train_tree
 from contrascale.scales import ContranominalScale, ScaleFamily
 
 
@@ -86,3 +94,56 @@ def family_is_valid_rowwise(family: ScaleFamily, ctx: FormalContext) -> bool:
 def close_under(implications: Iterable[Implication], attributes: Iterable[int]) -> tuple[int, ...]:
     rules = _RuleIndex((i.premise_mask, i.conclusion_mask) for i in implications)
     return mask_to_indices(rules.close(indices_to_mask(attributes)))
+
+
+def knowledge_one_at_a_time(ctx: FormalContext, cfg: ExperimentConfig) -> tuple:
+    """The repetition records of ``run_knowledge_experiment``, one tuple per
+    arm, drawn one repetition and one scalar ``randrange`` at a time.
+
+    Each repetition derives its three sub-seeds, draws its label, checks its
+    feature set, draws the ``n - cut`` split places that fix the test set and,
+    for the sampled arm, a partial Fisher-Yates sample of the other attributes.
+    """
+    methods = bench.METHODS if cfg.method == "both" else (cfg.method,)
+    selection = delta_adjust(ctx, cfg.delta).attributes
+    cols = ctx.cols()
+    everything = tuple(range(ctx.n_attributes))
+    records = [[] for _ in methods]
+    for rep in range(cfg.repetitions):
+        label_seed, split_seed, features_seed = (
+            derive_seed(cfg.seed, rep, tag)
+            for tag in (bench._STREAM_LABEL, bench._STREAM_SPLIT, bench._STREAM_FEATURES)
+        )
+        label = SplitMix64(label_seed).randrange(ctx.n_attributes)
+        adjusted = tuple(m for m in selection if m != label)
+        if not adjusted:
+            raise ValueError("the feature set is empty; use a larger delta")
+        n = ctx.n_objects
+        if n < 2:
+            raise ValueError("need at least 2 objects to split")
+        cut = math.floor(n * cfg.split_fraction)
+        if not 0 < cut < n:
+            raise ValueError("split leaves an empty train or test set")
+        rng = SplitMix64(split_seed)
+        order = list(range(n))
+        test = 0
+        for i in range(n - 1, cut - 1, -1):
+            j = rng.randrange(i + 1)
+            test |= 1 << order[j]
+            order[j] = order[i]
+        train = ((1 << n) - 1) ^ test
+        for method, arm in zip(methods, records):
+            if method == "adjusted":
+                features = adjusted
+            else:
+                others = everything[:label] + everything[label + 1:]
+                rng = SplitMix64(features_seed)
+                pool = list(range(len(others)))
+                for i in range(len(adjusted)):
+                    j = i + rng.randrange(len(others) - i)
+                    pool[i], pool[j] = pool[j], pool[i]
+                features = tuple(sorted(others[p] for p in pool[:len(adjusted)]))
+            tree = train_tree(cols, cols[label], train, features)
+            accuracy = tree.accuracy(cols, cols[label], test)
+            arm.append(RepetitionRecord(rep, label, features, accuracy))
+    return tuple(map(tuple, records))

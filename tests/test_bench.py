@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -27,7 +29,7 @@ from contrascale.context import (
 )
 from contrascale.datasets import medical_diagnosis
 from contrascale.formats import dumps_cxt
-from contrascale.rng import SplitMix64, derive_seed
+from contrascale.rng import SplitMix64, _mix_lanes, derive_seed
 from contrascale.tree import train_tree
 from contrascale.lattice import canonical_base
 from conftest import (
@@ -37,6 +39,7 @@ from conftest import (
     random_context,
     reduced_42x15,
 )
+from oracles import knowledge_one_at_a_time
 
 
 class TestSampling:
@@ -413,10 +416,11 @@ class TestKnowledgeExperiment:
 
         streams = bench._stream_seeds
 
-        def counted_streams(master, count, *tags):
-            for seeds in streams(master, count, *tags):
-                draws.update(tags)
-                yield seeds
+        def counted_streams(master, indices, *tags):
+            seeds = streams(master, indices, *tags)
+            for tag, column in zip(tags, seeds, strict=True):
+                draws[tag] += len(column)
+            return seeds
 
         adjusted = []
         adjust = bench.delta_adjust
@@ -438,6 +442,51 @@ class TestKnowledgeExperiment:
             # The sampled arm's structure means: ten attribute samples.
             bench._STREAM_STRUCTURE: 10,
         }
+
+    @pytest.mark.parametrize("context", ["diagnosis", "seeded 0", "seeded 1"])
+    def test_equals_one_repetition_at_a_time(self, seeded, context):
+        # Repetition i draws from (seed, i) alone, so each shorter run's records
+        # are a prefix of the 600-repetition records, for each arm.  The counts
+        # cross the blocks of repetitions whose draws share a kernel pass.
+        if context == "diagnosis":
+            ctx = medical_diagnosis()
+        else:
+            index = int(context.split()[1])
+            raw = random_context(seeded(39, index), 24, 12, (0.6,), 24, 12)
+            ctx = reduce_context(clarify(raw)[0])[0]
+        for split_fraction in (0.3, 0.5, 0.8):
+            for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+                cfg = ExperimentConfig(17, delta, 600, split_fraction, "both")
+                adjusted, sampled = knowledge_one_at_a_time(ctx, cfg)
+                expected = {"adjusted": (adjusted,), "sampled": (sampled,)}
+                expected["both"] = (adjusted, sampled)
+                for method, arms in expected.items():
+                    for repetitions in (1, 255, 256, 257, 600):
+                        cfg = ExperimentConfig(17, delta, repetitions, split_fraction, method)
+                        results = run_knowledge_experiment(ctx, cfg)
+                        assert tuple(r.repetitions for r in results) == tuple(
+                            arm[:repetitions] for arm in arms
+                        ), (method, split_fraction, delta, repetitions)
+
+    def test_kernel_passes_stay_a_block_wide(self, monkeypatch, cli_stdout):
+        # A repetition draws one label, n - cut split places and k sampled
+        # features from three sub-seeds, so a block's widest pass is at most
+        # _BLOCK times that, however many repetitions run.
+        widths = []
+
+        def counted(words):
+            widths.append(len(words))
+            return _mix_lanes(words)
+
+        monkeypatch.setattr("contrascale.rng._mix_lanes", counted)
+        ctx = medical_diagnosis()
+        k = len(delta_adjust(ctx, 0.5).attributes)
+        cut = math.floor(ctx.n_objects * 0.5)
+        per_repetition = max(3, 1 + (ctx.n_objects - cut) + k)
+        argv = ["experiment", "knowledge", "--method", "both", "--seed", "5"]
+        out = json.loads(cli_stdout(ctx, *argv, "--repetitions", "5000"))
+        assert [len(arm["repetitions"]) for arm in out] == [5000, 5000]
+        assert 0 < max(widths) <= bench._BLOCK * per_repetition < 3 * 5000
 
     def test_config_validation(self):
         assert ExperimentConfig(seed=0, method="both").method == "both"
